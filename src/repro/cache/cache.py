@@ -17,17 +17,16 @@ class Cache:
     def __init__(self, config: CacheConfig, name: str = "cache") -> None:
         self.config = config
         self.name = name
-        self._set_mask = config.n_sets - 1
-        self._power_of_two_sets = (config.n_sets & (config.n_sets - 1)) == 0
+        # Geometry as plain ints, also read by the hierarchy's inline walk.
+        self._n_sets = config.n_sets
+        self._ways = config.ways
         # One list of tags per set, most-recently-used first.
         self._sets: list[list[int]] = [[] for _ in range(config.n_sets)]
         self.accesses = 0
         self.misses = 0
 
     def _set_index(self, line_addr: int) -> int:
-        if self._power_of_two_sets:
-            return line_addr & self._set_mask
-        return line_addr % self.config.n_sets
+        return line_addr % self._n_sets
 
     def access(self, line_addr: int) -> bool:
         """Access one cache line (identified by ``addr >> log2(line)``).
@@ -46,7 +45,7 @@ class Cache:
             return True
         self.misses += 1
         tags.insert(0, tag)
-        if len(tags) > self.config.ways:
+        if len(tags) > self._ways:
             tags.pop()
         return False
 

@@ -5,6 +5,15 @@ returns the *cycle penalty* each access incurs, which the execution context
 adds to the simulated clock.  Counters are cumulative; the PAPI facade in
 :mod:`repro.perf.papi` snapshots them to produce per-phase deltas the way
 the paper's instrumented driver does.
+
+Every access goes through one fused walk, :meth:`CacheHierarchy.walk`.
+Per line it looks the tag up in its L1 set: a hit on the set's
+most-recently-used tag changes no state, any other hit moves the tag to
+the front, and a miss installs it and does the same for the L2.
+Counters and penalties are updated inline, with no per-level
+:meth:`Cache.access` calls.  The execution context calls the walk
+directly on its hot path; :meth:`CacheHierarchy.access` is the
+kind-dispatching entry point for everything else.
 """
 
 from __future__ import annotations
@@ -70,18 +79,53 @@ class CacheHierarchy:
         """Access ``size`` bytes at ``address``; return the cycle penalty."""
         if size <= 0:
             raise ValueError(f"access size must be positive, got {size}")
-        first = address >> self._line_shift
-        last = (address + size - 1) >> self._line_shift
         l1 = self.l1i if kind is AccessKind.INSTRUCTION else self.l1d
+        return self.walk(l1, address, size)
+
+    def walk(self, l1: Cache, address: int, size: int) -> int:
+        """Access ``size`` (> 0) bytes at ``address`` through ``l1``.
+
+        ``l1`` is this hierarchy's :attr:`l1i` or :attr:`l1d`.  Returns
+        the cycle penalty; updates the same LRU state and counters as a
+        per-line :meth:`Cache.access` on ``l1`` and, on each L1 miss,
+        on the L2 (write-allocate, inclusive fill).
+        """
+        shift = self._line_shift
+        line = address >> shift
+        last = (address + size - 1) >> shift
+        sets = l1._sets
+        n_sets = l1._n_sets
+        l1.accesses += last - line + 1
         penalty = 0
-        for line in range(first, last + 1):
-            if l1.access(line):
-                continue
-            if self.l2.access(line):
-                penalty += self.l2_hit_penalty
+        while True:
+            tags = sets[line % n_sets]
+            if line in tags:
+                # A hit on the set's most-recently-used tag changes nothing.
+                if tags[0] != line:
+                    tags.remove(line)
+                    tags.insert(0, line)
             else:
-                penalty += self.memory_penalty
-        return penalty
+                l1.misses += 1
+                tags.insert(0, line)
+                if len(tags) > l1._ways:
+                    tags.pop()
+                l2 = self.l2
+                l2.accesses += 1
+                tags = l2._sets[line % l2._n_sets]
+                if line in tags:
+                    if tags[0] != line:
+                        tags.remove(line)
+                        tags.insert(0, line)
+                    penalty += self.l2_hit_penalty
+                else:
+                    l2.misses += 1
+                    tags.insert(0, line)
+                    if len(tags) > l2._ways:
+                        tags.pop()
+                    penalty += self.memory_penalty
+            if line == last:
+                return penalty
+            line += 1
 
     def line_count(self, size: int, address: int = 0) -> int:
         """Number of lines an access of ``size`` bytes at ``address`` spans."""

@@ -37,11 +37,28 @@ class LoadedObject:
     got_resolved: set[int] = field(default_factory=set)
     #: Symbol names whose JMP_SLOT entries have been fixed up.
     plt_resolved: set[str] = field(default_factory=set)
+    #: Bases of the three sections every symbol probe reads, as plain
+    #: ints set by :meth:`map_section` (None until mapped): the probe
+    #: loop skips :meth:`base`'s Enum-keyed dict lookup.
+    hash_base: int | None = None
+    dynsym_base: int | None = None
+    dynstr_base: int | None = None
 
     @property
     def soname(self) -> str:
         """The object's soname."""
         return self.shared_object.soname
+
+    def map_section(self, kind: SectionKind, mapping: Mapping) -> None:
+        """Record where a section was mapped into the process."""
+        self.section_bases[kind] = mapping.start
+        self.mappings[kind] = mapping
+        if kind is SectionKind.HASH:
+            self.hash_base = mapping.start
+        elif kind is SectionKind.DYNSYM:
+            self.dynsym_base = mapping.start
+        elif kind is SectionKind.DYNSTR:
+            self.dynstr_base = mapping.start
 
     def base(self, kind: SectionKind) -> int:
         """Base address of a mapped section."""

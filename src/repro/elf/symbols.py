@@ -16,7 +16,8 @@ scope-walk cost that dominates the paper's Link build.  The
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ConfigError
 
@@ -44,19 +45,56 @@ HASH_SLOT_BYTES = 4
 
 
 def elf_hash(name: str) -> int:
-    """The classic SysV ELF hash function (matching glibc's `_dl_elf_hash`)."""
+    """The classic SysV ELF hash function (matching glibc's `_dl_elf_hash`).
+
+    glibc's step is ``h = (h << 4) + c; g = h & 0xf0000000; h ^= g >> 24;
+    h &= ~g``.  The high nibble ``g`` folds into bits 4-7 and is then
+    cleared, so ``h`` always fits in 28 bits; the loop below does the
+    same fold without the branch.
+    """
     h = 0
     for char in name.encode("utf-8", errors="replace"):
         h = (h << 4) + char
-        g = h & 0xF0000000
-        if g:
-            h ^= g >> 24
-        h &= ~g & 0xFFFFFFFF
-    return h & 0xFFFFFFFF
+        h = (h ^ ((h >> 24) & 0xF0)) & 0x0FFFFFFF
+    return h
+
+
+class NameHash:
+    """One looked-up name's hashes, each computed at most once.
+
+    glibc's ``_dl_lookup_symbol_x`` hashes the wanted name once per
+    lookup, not once per scope object: the GNU hash up front and the
+    SysV hash the first time an object without ``DT_GNU_HASH`` needs it.
+    A resolver makes one of these per lookup and hands it to every
+    table's :meth:`SymbolTable.probe_plan`, so a name is hashed at most
+    once per style however long the scope.  It lives only as long as
+    the lookup; nothing is memoized across lookups.
+    """
+
+    __slots__ = ("name", "_sysv", "_gnu")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._sysv: int | None = None
+        self._gnu: int | None = None
+
+    def sysv(self) -> int:
+        """The SysV (``DT_HASH``) hash of the name."""
+        if self._sysv is None:
+            self._sysv = elf_hash(self.name)
+        return self._sysv
+
+    def gnu(self) -> int:
+        """The GNU (``DT_GNU_HASH``) hash of the name."""
+        if self._gnu is None:
+            self._gnu = gnu_hash(self.name)
+        return self._gnu
 
 
 def strcmp_cost_chars(a: str, b: str) -> int:
     """Characters strcmp examines: the common prefix plus the mismatch."""
+    if a == b:
+        return len(a) + 1  # every character, then both NULs
     limit = min(len(a), len(b))
     i = 0
     while i < limit and a[i] == b[i]:
@@ -124,8 +162,7 @@ class StringTable:
         return self._size
 
 
-@dataclass(frozen=True)
-class ProbePlan:
+class ProbePlan(NamedTuple):
     """The precomputed replay of one table's hash probe for one name.
 
     Every lookup of ``name`` against a given (immutable-since-build)
@@ -136,7 +173,8 @@ class ProbePlan:
     load bases are added back at replay time — so one plan serves every
     process mapping the DLL, and replaying it charges the exact same
     ``work``/``dread`` calls (same order, sizes and per-call rounding)
-    as the walk it memoizes.
+    as the walk it memoizes.  A cold rank builds a plan for nearly every
+    probe, so it is a named tuple, which is cheap to construct.
     """
 
     #: Byte offset of the bucket slot within the hash section.
@@ -185,10 +223,18 @@ class SymbolTable:
     # -- GNU-hash Bloom filter ---------------------------------------------
     _BLOOM_SHIFT = 6
 
-    def _bloom_positions(self, name: str) -> tuple[tuple[int, int], tuple[int, int]]:
-        h = gnu_hash(name)
+    def _bloom_positions(self, h: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The two Bloom (word, bit) positions of a name's GNU hash ``h``."""
         word = (h // 64) % self._bloom_words
         return (word, h % 64), (word, (h >> self._BLOOM_SHIFT) % 64)
+
+    def _bloom_passes(self, h: int) -> bool:
+        a, b = self._bloom_positions(h)
+        return a in self._bloom_bits and b in self._bloom_bits
+
+    def _bloom_offset(self, h: int) -> int:
+        (word, _bit), _ = self._bloom_positions(h)
+        return 16 + 8 * word  # 16-byte GNU hash header, 8-byte words
 
     @property
     def bloom_words(self) -> int:
@@ -208,15 +254,13 @@ class SymbolTable:
             raise ConfigError("Bloom filter only exists for GNU-hash tables")
         if self._buckets is None:
             self._build_index()
-        a, b = self._bloom_positions(name)
-        return a in self._bloom_bits and b in self._bloom_bits
+        return self._bloom_passes(gnu_hash(name))
 
     def bloom_word_offset(self, name: str) -> int:
         """Byte offset of the Bloom word a lookup reads (GNU hash only)."""
         if self._buckets is None:
             self._build_index()
-        (word, _bit), _ = self._bloom_positions(name)
-        return 16 + 8 * word  # 16-byte GNU hash header, 8-byte words
+        return self._bloom_offset(gnu_hash(name))
 
     def add(self, symbol: Symbol) -> int:
         """Add a defined symbol; returns its table index (1-based)."""
@@ -257,18 +301,18 @@ class SymbolTable:
     def _build_index(self) -> None:
         n = max(1, len(self._symbols))
         self._nbuckets = max(1, int(n * self._bucket_ratio))
+        # Each symbol's name is hashed once; GNU tables reuse that hash
+        # for the Bloom filter.
+        hashes = [self._hash(symbol.name) for symbol in self._symbols]
         buckets: dict[int, list[int]] = {}
-        for index, symbol in enumerate(self._symbols, start=1):
-            bucket = self._hash(symbol.name) % self._nbuckets
-            buckets.setdefault(bucket, []).append(index)
+        for index, h in enumerate(hashes, start=1):
+            buckets.setdefault(h % self._nbuckets, []).append(index)
         self._buckets = buckets
         if self.hash_style is HashStyle.GNU:
             self._bloom_words = max(1, n // 8)
             bits: set[tuple[int, int]] = set()
-            for symbol in self._symbols:
-                a, b = self._bloom_positions(symbol.name)
-                bits.add(a)
-                bits.add(b)
+            for h in hashes:
+                bits.update(self._bloom_positions(h))
             self._bloom_bits = bits
 
     @property
@@ -289,7 +333,7 @@ class SymbolTable:
         assert self._buckets is not None
         return self._buckets.get(bucket, [])
 
-    def probe_plan(self, name: str) -> ProbePlan:
+    def probe_plan(self, name: str, hashes: NameHash | None = None) -> ProbePlan:
         """The memoized probe replay for ``name`` against this table.
 
         Built once per (table, name) by walking the hash structures the
@@ -297,29 +341,42 @@ class SymbolTable:
         same import/visit names are probed against the same DLL scope
         once *per rank* — replays the cached offset sequence instead.
         :meth:`add` invalidates all plans along with the hash index.
+
+        ``hashes`` is the lookup's :class:`NameHash` for ``name``: a
+        plan build takes the name's hash from it, so one lookup hashes
+        its name at most once per style across the whole scope.  A GNU
+        plan derives its Bloom word, Bloom bits and bucket from that one
+        hash.
         """
         plan = self._probe_plans.get(name)
         if plan is not None:
             return plan
+        if hashes is None:
+            hashes = NameHash(name)
+        if self._buckets is None:
+            self._build_index()
         bloom_offset = 0
         bloom_pass = True
         if self.hash_style is HashStyle.GNU:
-            bloom_offset = self.bloom_word_offset(name)
-            bloom_pass = self.bloom_maybe_contains(name)
+            h = hashes.gnu()
+            bloom_offset = self._bloom_offset(h)
+            bloom_pass = self._bloom_passes(h)
+        else:
+            h = hashes.sysv()
         bucket_offset = 0
         steps: list[tuple[int, int, int]] = []
         symbol: Symbol | None = None
         if bloom_pass:
-            bucket = self._hash(name) % self.nbuckets
+            bucket = h % self._nbuckets
             bucket_offset = self.bucket_slot_offset(bucket)
-            for index in self.chain(bucket):
+            name_offsets = self.strings._offsets
+            for index in self._buckets.get(bucket, ()):
                 candidate = self._symbols[index - 1]
-                chars = strcmp_cost_chars(name, candidate.name)
                 steps.append(
                     (
                         SYMBOL_ENTRY_BYTES * index,
-                        chars,
-                        self.strings.offset_of(candidate.name),
+                        strcmp_cost_chars(name, candidate.name),
+                        name_offsets[candidate.name],
                     )
                 )
                 if candidate.name == name:

@@ -478,8 +478,7 @@ class DynamicLinker:
                 file=image,
                 file_offset=offset,
             )
-            obj.section_bases[kind] = mapping.start
-            obj.mappings[kind] = mapping
+            obj.map_section(kind, mapping)
         # ld.so touches the hash/dynsym/dynstr metadata of every object it
         # maps (it needs them for any lookup), so those sections are read
         # eagerly at map time; GOT/PLT are small COW pages (no file read).

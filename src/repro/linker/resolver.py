@@ -7,14 +7,22 @@ compares candidate names.  Every step is charged as real memory traffic
 "memory intensive binding operations" the paper blames for the visit-time
 L1-D miss explosion of lazily-bound pre-linked builds (Table II).
 
+As in glibc, a lookup hashes the wanted name once, not once per scope
+object: :meth:`SymbolResolver.lookup` makes one
+:class:`~repro.elf.symbols.NameHash` per lookup, which computes each
+hash style at most once and only when a table actually needs it, and
+hands it to every table it probes.
+
 The *charged* traffic is identical on every lookup of a name against an
 unchanged table, so the per-object probe is driven by a memoized
 :class:`~repro.elf.symbols.ProbePlan`: the chain walk, strcmp prefix
 lengths and string-table offsets are computed once per (table, name)
 and replayed for every rank that binds the same symbol — the
-symbol-probe hot path ROADMAP flags on 16k-rank jobs.  Replay preserves
-the exact ``work``/``dread`` call sequence (per-call cycle rounding and
-cache state depend on it), pinned bit-identical against
+symbol-probe hot path ROADMAP flags on 16k-rank jobs.  Replay adds the
+object's hash/dynsym/dynstr bases, kept as plain ints on the
+:class:`~repro.elf.linkmap.LoadedObject`, and preserves the exact
+``work``/``dread`` call sequence (per-call cycle rounding and cache
+state depend on it), pinned bit-identical against
 :meth:`SymbolResolver._probe_reference`, the original walk kept as the
 reference implementation.
 """
@@ -29,6 +37,7 @@ from repro.elf.sections import SectionKind
 from repro.elf.symbols import (
     SYMBOL_ENTRY_BYTES,
     HashStyle,
+    NameHash,
     Symbol,
     strcmp_cost_chars,
 )
@@ -73,15 +82,17 @@ class SymbolResolver:
         """
         costs = ctx.costs
         self.lookups += 1
-        # The name hash is computed once per lookup (glibc caches it).
+        # The name hash is computed once per lookup (glibc caches it),
+        # and charged once here.
         ctx.work(
             costs.lookup_base_instructions
             + costs.hash_instructions_per_char * len(name)
         )
+        hashes = NameHash(name)
         probed = 0
         for obj in scope:
             probed += 1
-            symbol = self._probe(ctx, obj, name)
+            symbol = self._probe(ctx, obj, name, hashes)
             if symbol is not None:
                 self.total_probes += probed
                 return ResolutionResult(
@@ -98,18 +109,20 @@ class SymbolResolver:
         ctx: ExecutionContext,
         obj: LoadedObject,
         name: str,
+        hashes: NameHash | None = None,
     ) -> Symbol | None:
         """Probe one object's hash table; None if it lacks the symbol.
 
-        Replays the table's memoized :class:`ProbePlan`: the plan holds
+        Replays the table's memoized :class:`ProbePlan` (built, on a
+        miss, from the lookup's ``hashes``): the plan holds
         section-relative offsets, the object's per-process load bases
         are added here, and the ``work``/``dread`` sequence charged is
         exactly the one :meth:`_probe_reference` would issue.
         """
         costs = ctx.costs
         table = obj.shared_object.symbol_table
-        plan = table.probe_plan(name)
-        hash_base = obj.base(SectionKind.HASH)
+        plan = table.probe_plan(name, hashes)
+        hash_base = obj.hash_base
         if table.hash_style is HashStyle.GNU:
             # DT_GNU_HASH fast path: one Bloom-word read rejects objects
             # that cannot define the symbol — the post-2007 fix for
@@ -120,8 +133,8 @@ class SymbolResolver:
                 return None
         ctx.work(costs.probe_instructions)
         ctx.dread(hash_base + plan.bucket_offset, _BUCKET_READ_BYTES)
-        dynsym_base = obj.base(SectionKind.DYNSYM)
-        dynstr_base = obj.base(SectionKind.DYNSTR)
+        dynsym_base = obj.dynsym_base
+        dynstr_base = obj.dynstr_base
         strcmp_per_char = costs.strcmp_instructions_per_char
         work = ctx.work
         dread = ctx.dread
@@ -137,12 +150,14 @@ class SymbolResolver:
         ctx: ExecutionContext,
         obj: LoadedObject,
         name: str,
+        hashes: NameHash | None = None,
     ) -> Symbol | None:
         """The original un-memoized probe, kept as the reference.
 
         Tests pin :meth:`_probe` bit-identical against this walk, and
         the ``symbol_probe`` microbenchmark measures the plan cache
-        against the per-lookup structure walk it replaced.
+        against the per-lookup structure walk it replaced.  It hashes
+        ``name`` itself and ignores ``hashes``.
         """
         costs = ctx.costs
         table = obj.shared_object.symbol_table

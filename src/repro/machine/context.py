@@ -6,11 +6,19 @@ through an :class:`ExecutionContext`.  The context charges instruction
 work to the node clock, routes memory accesses through the cache
 hierarchy, and services page faults via the buffer cache, so that cost
 attribution (the essence of Tables I and II) is automatic.
+
+``ifetch``/``dread``/``dwrite`` are the simulator's hottest calls, so
+they take a fast path.  A resident-page filter (the page shift and the
+address space's resident-page set, cached here) skips
+:meth:`AddressSpace.touch` whenever the access stays on one resident
+page; anything else falls through to :meth:`ExecutionContext._touch`,
+which services faults as before.  The access then goes straight to the
+hierarchy's single fused per-line walk,
+:meth:`~repro.cache.hierarchy.CacheHierarchy.walk`.
 """
 
 from __future__ import annotations
 
-from repro.cache.hierarchy import AccessKind
 from repro.machine.node import Node, Process
 
 
@@ -21,9 +29,17 @@ class ExecutionContext:
         self.process = process
         self.node: Node = process.node
         self.costs = self.node.costs
-        self._hierarchy = self.node.hierarchy
         self._clock = self.node.clock
         self._aspace = process.address_space
+        # The access fast path's cached state: the hierarchy walk and
+        # its L1 ports, and the page shift and resident-page set of the
+        # resident-page filter (the set object is never replaced).
+        hierarchy = self.node.hierarchy
+        self._walk = hierarchy.walk
+        self._l1i = hierarchy.l1i
+        self._l1d = hierarchy.l1d
+        self._page_shift = self._aspace.page_bytes.bit_length() - 1
+        self._present = self._aspace._present
         #: Total bytes read by major page faults (for reports/tests).
         self.major_fault_bytes = 0
         self.minor_faults = 0
@@ -76,24 +92,34 @@ class ExecutionContext:
 
     def ifetch(self, address: int, size: int) -> None:
         """Fetch instruction bytes (L1I path)."""
-        self._touch(address, size)
-        penalty = self._hierarchy.access(address, size, AccessKind.INSTRUCTION)
+        shift = self._page_shift
+        page = address >> shift
+        if (
+            page not in self._present
+            or (address + size - 1) >> shift != page
+            or size <= 0
+        ):
+            self._touch(address, size)
+        penalty = self._walk(self._l1i, address, size)
         if penalty:
             self._clock.add_cycles(penalty)
 
     def dread(self, address: int, size: int) -> None:
         """Read data bytes (L1D path)."""
-        self._touch(address, size)
-        penalty = self._hierarchy.access(address, size, AccessKind.DATA_READ)
+        shift = self._page_shift
+        page = address >> shift
+        if (
+            page not in self._present
+            or (address + size - 1) >> shift != page
+            or size <= 0
+        ):
+            self._touch(address, size)
+        penalty = self._walk(self._l1d, address, size)
         if penalty:
             self._clock.add_cycles(penalty)
 
-    def dwrite(self, address: int, size: int) -> None:
-        """Write data bytes (write-allocate L1D path)."""
-        self._touch(address, size)
-        penalty = self._hierarchy.access(address, size, AccessKind.DATA_WRITE)
-        if penalty:
-            self._clock.add_cycles(penalty)
+    #: Writes take the same write-allocate L1D path as reads.
+    dwrite = dread
 
     # -- convenience -------------------------------------------------------
     @property

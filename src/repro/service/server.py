@@ -37,6 +37,7 @@ import asyncio
 import contextlib
 import json
 import multiprocessing
+import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -124,6 +125,12 @@ class SimulationServer:
             initializer=init_worker,
             initargs=(self._progress_queue,),
         )
+        # Fork the workers now, before the server starts any thread of
+        # its own: a fork-context pool forks all of them on its first
+        # submit.  Forked later, from the first cold job, a worker could
+        # inherit a lock a drain or ``asyncio.to_thread`` thread holds
+        # (SQLite's, inside ``sqlite3.connect``) and block forever.
+        await asyncio.wrap_future(self._pool.submit(os.getpid))
         self._drain_thread = threading.Thread(
             target=self._drain_progress, name="serve-progress", daemon=True
         )

@@ -17,9 +17,11 @@ the CLI runs) and talks to it over real HTTP with the stdlib
   loses no committed results.
 """
 
+import asyncio
 import concurrent.futures
 import dataclasses
 import json
+import multiprocessing
 
 import pytest
 
@@ -127,6 +129,30 @@ class TestEndToEnd:
         assert final["status"] == "done"
         assert final["kind"] == "workload"
         assert final["result"]["columns"]["total_max"] > 0
+
+
+class TestWorkerPool:
+    def test_workers_fork_before_the_server_accepts(self, tmp_path, monkeypatch):
+        """Every pool worker exists before the first connection can be
+        accepted, and no cold job forks another one later."""
+        before = {child.pid for child in multiprocessing.active_children()}
+        at_listen: dict = {}
+        start_server = asyncio.start_server
+
+        async def recording_start_server(*args, **kwargs):
+            children = multiprocessing.active_children()
+            at_listen["pids"] = {child.pid for child in children} - before
+            return await start_server(*args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "start_server", recording_start_server)
+        config = ServiceConfig(port=0, workers=2, cache_dir=str(tmp_path))
+        with running_server(config) as server:
+            assert len(at_listen["pids"]) == config.workers
+            client = ServiceClient(*server.address)
+            final = client.wait(client.submit(_tiny_spec(seed=4242))["job_id"])
+            assert final["status"] == "done"
+            children = multiprocessing.active_children()
+            assert {child.pid for child in children} - before == at_listen["pids"]
 
 
 class TestValidationAndErrors:
