@@ -17,7 +17,6 @@ from repro.perf.bench import (
     bench_earliest_gap,
     bench_reserve,
     bench_scheduler,
-    bench_symbol_probe,
 )
 
 
@@ -58,16 +57,6 @@ def test_scheduler_benchmark_counts_every_step():
     result = bench_scheduler(n_tasks=16, n_steps=8, repeats=2)
     # One resumption per yield plus the final StopIteration step each.
     assert result.ops == 16 * (8 + 1)
-
-
-def test_symbol_probe_plan_cache_10x():
-    # The resolver memoization satellite: replaying a cached ProbePlan
-    # must beat rebuilding the probe (hash + bucket chase + strcmp
-    # walk) by a wide margin (measured ~1000x; 10x floor for noisy
-    # runners).
-    results = bench_symbol_probe(size=4096, n_ops=256, repeats=3)
-    speedup = results["cached"].ops_per_sec / results["uncached"].ops_per_sec
-    assert speedup >= 10.0, f"probe-plan speedup collapsed to {speedup:.1f}x"
 
 
 def test_experiment_emits_documented_metrics(perf_result):

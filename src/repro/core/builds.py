@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.codegen.sizes import SizeModel, SectionTotals, totals_from_objects
 from repro.core.specs import (
@@ -30,7 +31,13 @@ from repro.core.specs import (
 )
 from repro.core.syslibs import ALL_DATA_SYMBOLS
 from repro.elf.image import Executable, SharedObject
-from repro.elf.symbols import HashStyle, Symbol, SymbolKind, SymbolTable
+from repro.elf.symbols import (
+    HashStyle,
+    LinkHashes,
+    Symbol,
+    SymbolKind,
+    SymbolTable,
+)
 from repro.errors import GenerationError
 from repro.fs.files import BackingFileSystem, FileImage
 from repro.linker.static import StaticLinker
@@ -61,6 +68,8 @@ class BuildImage:
     utility_objects: dict[str, SharedObject]
     system_objects: dict[str, SharedObject] = field(default_factory=dict)
     images: dict[str, FileImage] = field(default_factory=dict)
+    #: The hash of every name the build defines, shared by its tables.
+    name_hashes: LinkHashes = field(default_factory=LinkHashes)
 
     @property
     def generated_objects(self) -> list[SharedObject]:
@@ -73,12 +82,12 @@ class BuildImage:
 
 
 def _lower_system_lib(
-    spec: SystemLibSpec, model: SizeModel, hash_style: HashStyle
+    spec: SystemLibSpec, model: SizeModel, new_table: Callable[[], SymbolTable]
 ) -> SharedObject:
     shared = SharedObject(
         soname=spec.soname,
         path=spec.path,
-        symbol_table=SymbolTable(hash_style=hash_style),
+        symbol_table=new_table(),
     )
     text_offset = 0
     data_offset = 0
@@ -108,12 +117,12 @@ def _lower_system_lib(
 
 
 def _lower_utility(
-    spec: UtilitySpec, model: SizeModel, hash_style: HashStyle
+    spec: UtilitySpec, model: SizeModel, new_table: Callable[[], SymbolTable]
 ) -> SharedObject:
     shared = SharedObject(
         soname=spec.soname,
         path=spec.path,
-        symbol_table=SymbolTable(hash_style=hash_style),
+        symbol_table=new_table(),
     )
     shared.needed.append("libc.so.6")
     offset = 0
@@ -142,12 +151,12 @@ def _lower_utility(
 
 
 def _lower_module(
-    spec: ModuleSpec, model: SizeModel, hash_style: HashStyle
+    spec: ModuleSpec, model: SizeModel, new_table: Callable[[], SymbolTable]
 ) -> SharedObject:
     shared = SharedObject(
         soname=spec.soname,
         path=spec.path,
-        symbol_table=SymbolTable(hash_style=hash_style),
+        symbol_table=new_table(),
     )
     shared.needed.extend(spec.utility_deps)
     shared.needed.extend(spec.module_deps)
@@ -217,11 +226,13 @@ def _lower_module(
     return shared
 
 
-def _lower_executable(spec: BenchmarkSpec, hash_style: HashStyle) -> Executable:
+def _lower_executable(
+    spec: BenchmarkSpec, new_table: Callable[[], SymbolTable]
+) -> Executable:
     exe = Executable(
         soname=spec.executable_name,
         path=f"/nfs/pynamic/{spec.executable_name}",
-        symbol_table=SymbolTable(hash_style=hash_style),
+        symbol_table=new_table(),
     )
     exe.needed.extend(
         (
@@ -274,19 +285,26 @@ def build_benchmark(
     """
     config = spec.config
     model: SizeModel = getattr(config, "size_model", SizeModel())
+    # Every table of this build registers its names in one map, which
+    # hashes them in one batch when the first lookup needs them.
+    name_hashes = LinkHashes()
+
+    def new_table() -> SymbolTable:
+        return SymbolTable(hash_style=hash_style, link_hashes=name_hashes)
+
     system_objects = {
-        lib.soname: _lower_system_lib(lib, model, hash_style)
+        lib.soname: _lower_system_lib(lib, model, new_table)
         for lib in spec.system_libs
     }
     utility_objects = {
-        util.soname: _lower_utility(util, model, hash_style)
+        util.soname: _lower_utility(util, model, new_table)
         for util in spec.utilities
     }
     module_objects = {
-        module.soname: _lower_module(module, model, hash_style)
+        module.soname: _lower_module(module, model, new_table)
         for module in spec.modules
     }
-    executable = _lower_executable(spec, hash_style)
+    executable = _lower_executable(spec, new_table)
     if mode.prelinked:
         linker = StaticLinker()
         linker.link_into(
@@ -315,4 +333,5 @@ def build_benchmark(
         utility_objects=utility_objects,
         system_objects=system_objects,
         images=images,
+        name_hashes=name_hashes,
     )

@@ -70,21 +70,6 @@ class LoadedObject:
             ) from None
 
     # -- addresses the resolver and visit engine touch ---------------------
-    def hash_slot_addr(self, bucket: int) -> int:
-        """Address of a hash bucket slot."""
-        table = self.shared_object.symbol_table
-        return self.base(SectionKind.HASH) + table.bucket_slot_offset(bucket)
-
-    def symbol_entry_addr(self, index: int) -> int:
-        """Address of a dynsym entry."""
-        table = self.shared_object.symbol_table
-        return self.base(SectionKind.DYNSYM) + table.symbol_entry_offset(index)
-
-    def symbol_name_addr(self, name: str) -> int:
-        """Address of a symbol's name bytes in .dynstr."""
-        table = self.shared_object.symbol_table
-        return self.base(SectionKind.DYNSTR) + table.strings.offset_of(name)
-
     def symbol_value_addr(self, symbol: Symbol) -> int:
         """Runtime address of a defined symbol."""
         section = (

@@ -11,13 +11,22 @@ We also model the ``DT_GNU_HASH`` format that later toolchains adopted
 rejects absent symbols with a single word read, collapsing the
 scope-walk cost that dominates the paper's Link build.  The
 ``ablation_hash_style`` experiment quantifies that fix.
+
+Names are hashed where ``ld`` hashes them: at link time, once per
+build.  Every :class:`SymbolTable` of a build shares one
+:class:`LinkHashes`, which hashes all of the build's names in one batch
+(:func:`elf_hash_many` for SysV) the first time any table is probed; the
+resolver takes a defined name's hash from it.  A table's section sizes
+follow from its symbol count alone, so a build that is only sized,
+published and staged hashes nothing.  On its first probe a table
+compiles its index: per bucket, a tuple of ``(dynsym entry offset,
+dynstr offset, Symbol)``, and for GNU tables the Bloom words as ints.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from repro.errors import ConfigError
 
@@ -42,6 +51,18 @@ SYMBOL_ENTRY_BYTES = 24
 HASH_HEADER_BYTES = 8
 #: Bytes per bucket / chain slot (Elf32 words, as in the SysV hash).
 HASH_SLOT_BYTES = 4
+#: Bytes of GNU hash header (nbuckets, symoffset, bloom_size, bloom_shift);
+#: the 8-byte Bloom words follow it.
+GNU_HASH_HEADER_BYTES = 16
+
+
+def bloom_probe(h: int, words: int) -> tuple[int, int]:
+    """The Bloom word a GNU hash ``h`` tests, and the two bits it needs.
+
+    Returns ``(word index, mask)``: the word is ``(h >> 6) % words`` and
+    the bits are ``h % 64`` and ``(h >> 6) % 64`` (``bloom_shift`` 6).
+    """
+    return (h >> 6) % words, (1 << (h & 63)) | (1 << ((h >> 6) & 63))
 
 
 def elf_hash(name: str) -> int:
@@ -59,24 +80,59 @@ def elf_hash(name: str) -> int:
     return h
 
 
+def elf_hash_many(names: list[str]) -> list[int]:
+    """:func:`elf_hash` of every name, computed for all of them at once.
+
+    Each name gets a 40-bit lane of one Python int.  The names are
+    left-padded with NUL to one length; a leading NUL keeps ``h`` at 0,
+    so padding leaves every hash unchanged.  Each step of glibc's loop
+    then runs on all lanes with a handful of big-int operations, the
+    column of the names' ``i``-th bytes packed by slicing.  A lane
+    holds at most 33 bits between the shift-add and the fold, so lanes
+    never carry into each other.
+    """
+    if not names:
+        return []
+    encoded = [name.encode("utf-8", errors="replace") for name in names]
+    width = max(map(len, encoded))
+    lane_bytes = 5 * len(encoded)
+    padded = b"".join(raw.rjust(width, b"\0") for raw in encoded)
+    column = bytearray(lane_bytes)
+    fold = int.from_bytes(b"\xf0\0\0\0\0" * len(encoded), "little")
+    keep = int.from_bytes(b"\xff\xff\xff\x0f\0" * len(encoded), "little")
+    h = 0
+    for i in range(width):
+        column[::5] = padded[i::width]
+        h = (h << 4) + int.from_bytes(column, "little")
+        h = (h ^ ((h >> 24) & fold)) & keep
+    lanes = h.to_bytes(lane_bytes, "little")
+    return [
+        int.from_bytes(lanes[i : i + 4], "little")
+        for i in range(0, lane_bytes, 5)
+    ]
+
+
 class NameHash:
     """One looked-up name's hashes, each computed at most once.
 
     glibc's ``_dl_lookup_symbol_x`` hashes the wanted name once per
     lookup, not once per scope object: the GNU hash up front and the
     SysV hash the first time an object without ``DT_GNU_HASH`` needs it.
-    A resolver makes one of these per lookup and hands it to every
-    table's :meth:`SymbolTable.probe_plan`, so a name is hashed at most
-    once per style however long the scope.  It lives only as long as
-    the lookup; nothing is memoized across lookups.
+    The resolver makes one of these per lookup, preset by
+    :meth:`LinkHashes.name_hash` with the hashes the build already
+    holds, so a defined name is never hashed again and any other name
+    is hashed at most once per style.  It lives only as long as the
+    lookup.
     """
 
     __slots__ = ("name", "_sysv", "_gnu")
 
-    def __init__(self, name: str) -> None:
+    def __init__(
+        self, name: str, sysv: int | None = None, gnu: int | None = None
+    ) -> None:
         self.name = name
-        self._sysv: int | None = None
-        self._gnu: int | None = None
+        self._sysv = sysv
+        self._gnu = gnu
 
     def sysv(self) -> int:
         """The SysV (``DT_HASH``) hash of the name."""
@@ -89,6 +145,62 @@ class NameHash:
         if self._gnu is None:
             self._gnu = gnu_hash(self.name)
         return self._gnu
+
+
+class LinkHashes:
+    """The hash of every name one build defines, in its table's style.
+
+    ``ld`` hashes each exported name once, when it writes the object's
+    ``.hash``/``.gnu.hash``, so a defined name's hash belongs to the
+    build.  The build hands one of these to each of its tables, which
+    register every name they define.  Names are hashed lazily, in one
+    batch per style, the first time a table is indexed or a lookup asks
+    for a name; a build that never probes hashes nothing.  The map goes
+    away with its build; no two builds share one.
+    """
+
+    __slots__ = ("_sysv", "_gnu", "_pending_sysv", "_pending_gnu")
+
+    def __init__(self) -> None:
+        self._sysv: dict[str, int] = {}
+        self._gnu: dict[str, int] = {}
+        self._pending_sysv: list[str] = []
+        self._pending_gnu: list[str] = []
+
+    def register(self, name: str, style: HashStyle) -> None:
+        """Record that a table hashed in ``style`` defines ``name``."""
+        if style is HashStyle.GNU:
+            self._pending_gnu.append(name)
+        else:
+            self._pending_sysv.append(name)
+
+    def sysv(self) -> dict[str, int]:
+        """Every name a SysV table registered, mapped to its SysV hash."""
+        if self._pending_sysv:
+            names = self._new_names(self._pending_sysv, self._sysv)
+            self._pending_sysv = []
+            self._sysv.update(zip(names, elf_hash_many(names)))
+        return self._sysv
+
+    def gnu(self) -> dict[str, int]:
+        """Every name a GNU table registered, mapped to its GNU hash."""
+        if self._pending_gnu:
+            names = self._new_names(self._pending_gnu, self._gnu)
+            self._pending_gnu = []
+            self._gnu.update((name, gnu_hash(name)) for name in names)
+        return self._gnu
+
+    @staticmethod
+    def _new_names(pending: list[str], known: dict[str, int]) -> list[str]:
+        return [name for name in dict.fromkeys(pending) if name not in known]
+
+    def hashes(self, style: HashStyle) -> dict[str, int]:
+        """:meth:`gnu` or :meth:`sysv`, by ``style``."""
+        return self.gnu() if style is HashStyle.GNU else self.sysv()
+
+    def name_hash(self, name: str) -> NameHash:
+        """A lookup's :class:`NameHash`, preset with the known hashes."""
+        return NameHash(name, self.sysv().get(name), self.gnu().get(name))
 
 
 def strcmp_cost_chars(a: str, b: str) -> int:
@@ -162,105 +274,38 @@ class StringTable:
         return self._size
 
 
-class ProbePlan(NamedTuple):
-    """The precomputed replay of one table's hash probe for one name.
-
-    Every lookup of ``name`` against a given (immutable-since-build)
-    table touches the same sequence of structures: the Bloom word (GNU
-    only), the bucket slot, then per chain entry an ``Elf64_Sym`` read,
-    a bounded strcmp and the ``.dynstr`` bytes it examined.  The plan
-    stores that sequence as *section-relative offsets* — per-process
-    load bases are added back at replay time — so one plan serves every
-    process mapping the DLL, and replaying it charges the exact same
-    ``work``/``dread`` calls (same order, sizes and per-call rounding)
-    as the walk it memoizes.  A cold rank builds a plan for nearly every
-    probe, so it is a named tuple, which is cheap to construct.
-    """
-
-    #: Byte offset of the bucket slot within the hash section.
-    bucket_offset: int
-    #: Per chain entry: (dynsym entry offset, strcmp chars, dynstr offset).
-    steps: tuple[tuple[int, int, int], ...]
-    #: The matching symbol, or None when the chain lacks the name.
-    symbol: "Symbol | None"
-    #: GNU only: byte offset of the Bloom word the lookup reads.
-    bloom_offset: int
-    #: GNU only: False means the Bloom word rejected the name and the
-    #: bucket chain is never walked (``steps`` is empty).
-    bloom_pass: bool
+#: One compiled chain entry: (dynsym entry offset, dynstr offset, Symbol).
+ChainEntry = tuple[int, int, Symbol]
 
 
 class SymbolTable:
-    """A dynamic symbol table with its SysV hash index.
+    """A dynamic symbol table with its hash index.
 
     Indexing follows real ELF: symbol 0 is the reserved undefined symbol,
-    so defined symbols occupy indices 1..n.
+    so defined symbols occupy indices 1..n.  ``link_hashes`` is the
+    build's :class:`LinkHashes`; a table made on its own keeps one of
+    its own.
     """
 
     def __init__(
         self,
         bucket_ratio: float = 1.0,
         hash_style: HashStyle = HashStyle.SYSV,
+        link_hashes: LinkHashes | None = None,
     ) -> None:
         if bucket_ratio <= 0:
             raise ConfigError("bucket_ratio must be positive")
         self._bucket_ratio = bucket_ratio
         self.hash_style = hash_style
+        self.link_hashes = link_hashes if link_hashes is not None else LinkHashes()
         self._symbols: list[Symbol] = []
         self._by_name: dict[str, int] = {}
         self.strings = StringTable()
-        self._buckets: dict[int, list[int]] | None = None
-        self._nbuckets = 1
-        self._bloom_bits: set[tuple[int, int]] = set()
-        self._bloom_words = 1
-        self._probe_plans: dict[str, ProbePlan] = {}
-
-    def _hash(self, name: str) -> int:
-        if self.hash_style is HashStyle.GNU:
-            return gnu_hash(name)
-        return elf_hash(name)
-
-    # -- GNU-hash Bloom filter ---------------------------------------------
-    _BLOOM_SHIFT = 6
-
-    def _bloom_positions(self, h: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """The two Bloom (word, bit) positions of a name's GNU hash ``h``."""
-        word = (h // 64) % self._bloom_words
-        return (word, h % 64), (word, (h >> self._BLOOM_SHIFT) % 64)
-
-    def _bloom_passes(self, h: int) -> bool:
-        a, b = self._bloom_positions(h)
-        return a in self._bloom_bits and b in self._bloom_bits
-
-    def _bloom_offset(self, h: int) -> int:
-        (word, _bit), _ = self._bloom_positions(h)
-        return 16 + 8 * word  # 16-byte GNU hash header, 8-byte words
-
-    @property
-    def bloom_words(self) -> int:
-        """Number of 64-bit Bloom filter words (GNU hash only)."""
-        if self._buckets is None:
-            self._build_index()
-        return self._bloom_words
-
-    def bloom_maybe_contains(self, name: str) -> bool:
-        """GNU-hash fast path: can this object possibly define ``name``?
-
-        False means definitely absent (one memory word decided it); True
-        means the bucket chain must be walked (rare false positives are
-        part of the real design).
-        """
-        if self.hash_style is not HashStyle.GNU:
-            raise ConfigError("Bloom filter only exists for GNU-hash tables")
-        if self._buckets is None:
-            self._build_index()
-        return self._bloom_passes(gnu_hash(name))
-
-    def bloom_word_offset(self, name: str) -> int:
-        """Byte offset of the Bloom word a lookup reads (GNU hash only)."""
-        if self._buckets is None:
-            self._build_index()
-        return self._bloom_offset(gnu_hash(name))
+        #: The compiled index, None until the first probe (see
+        #: :meth:`compile`): one tuple of :data:`ChainEntry` per bucket.
+        self.bucket_chains: list[tuple[ChainEntry, ...]] | None = None
+        #: GNU only: the compiled Bloom filter, one int per 64-bit word.
+        self.bloom: list[int] = []
 
     def add(self, symbol: Symbol) -> int:
         """Add a defined symbol; returns its table index (1-based)."""
@@ -270,8 +315,8 @@ class SymbolTable:
         index = len(self._symbols)  # 1-based, slot 0 is STN_UNDEF
         self._by_name[symbol.name] = index
         self.strings.add(symbol.name)
-        self._buckets = None  # invalidate the hash index
-        self._probe_plans.clear()  # plans bake chain order and offsets
+        self.link_hashes.register(symbol.name, self.hash_style)
+        self.bucket_chains = None  # invalidate the compiled index
         return index
 
     def __len__(self) -> int:
@@ -297,30 +342,68 @@ class SymbolTable:
         """All defined symbols in index order."""
         return tuple(self._symbols)
 
-    # -- hash geometry ----------------------------------------------------
-    def _build_index(self) -> None:
-        n = max(1, len(self._symbols))
-        self._nbuckets = max(1, int(n * self._bucket_ratio))
-        # Each symbol's name is hashed once; GNU tables reuse that hash
-        # for the Bloom filter.
-        hashes = [self._hash(symbol.name) for symbol in self._symbols]
-        buckets: dict[int, list[int]] = {}
-        for index, h in enumerate(hashes, start=1):
-            buckets.setdefault(h % self._nbuckets, []).append(index)
-        self._buckets = buckets
-        if self.hash_style is HashStyle.GNU:
-            self._bloom_words = max(1, n // 8)
-            bits: set[tuple[int, int]] = set()
-            for h in hashes:
-                bits.update(self._bloom_positions(h))
-            self._bloom_bits = bits
-
+    # -- hash geometry (from the symbol count alone) -------------------------
     @property
     def nbuckets(self) -> int:
         """Number of hash buckets."""
-        if self._buckets is None:
-            self._build_index()
-        return self._nbuckets
+        return max(1, int(max(1, len(self._symbols)) * self._bucket_ratio))
+
+    @property
+    def bloom_words(self) -> int:
+        """Number of 64-bit Bloom filter words (GNU hash only)."""
+        return max(1, len(self._symbols) // 8)
+
+    # -- the compiled index ---------------------------------------------------
+    def compile(self) -> list[tuple[ChainEntry, ...]]:
+        """Build (once per change) and return :attr:`bucket_chains`.
+
+        Each symbol's hash comes from the build's :class:`LinkHashes`;
+        GNU tables reuse it for the Bloom filter (see :func:`bloom_probe`).
+        """
+        hashes = self.link_hashes.hashes(self.hash_style)
+        nbuckets = self.nbuckets
+        name_offsets = self.strings._offsets
+        chains: dict[int, list[ChainEntry]] = {}
+        for index, symbol in enumerate(self._symbols, start=1):
+            name = symbol.name
+            chains.setdefault(hashes[name] % nbuckets, []).append(
+                (SYMBOL_ENTRY_BYTES * index, name_offsets[name], symbol)
+            )
+        compiled: list[tuple[ChainEntry, ...]] = [()] * nbuckets
+        for bucket, chain in chains.items():
+            compiled[bucket] = tuple(chain)
+        if self.hash_style is HashStyle.GNU:
+            words = self.bloom_words
+            bloom = [0] * words
+            for symbol in self._symbols:
+                word, mask = bloom_probe(hashes[symbol.name], words)
+                bloom[word] |= mask
+            self.bloom = bloom
+        self.bucket_chains = compiled
+        return compiled
+
+    def _hash(self, name: str) -> int:
+        hashes = self.link_hashes.name_hash(name)
+        return hashes.gnu() if self.hash_style is HashStyle.GNU else hashes.sysv()
+
+    def bloom_maybe_contains(self, name: str) -> bool:
+        """GNU-hash fast path: can this object possibly define ``name``?
+
+        False means definitely absent (one memory word decided it); True
+        means the bucket chain must be walked (rare false positives are
+        part of the real design).
+        """
+        if self.hash_style is not HashStyle.GNU:
+            raise ConfigError("Bloom filter only exists for GNU-hash tables")
+        if self.bucket_chains is None:
+            self.compile()
+        word, mask = bloom_probe(self._hash(name), self.bloom_words)
+        return self.bloom[word] & mask == mask
+
+    def bloom_word_offset(self, name: str) -> int:
+        """Byte offset of the Bloom word a lookup reads (GNU hash only)."""
+        word, _ = bloom_probe(self._hash(name), self.bloom_words)
+        return GNU_HASH_HEADER_BYTES + 8 * word
 
     def bucket_of(self, name: str) -> int:
         """The bucket a name hashes into (style-dependent hash)."""
@@ -328,69 +411,12 @@ class SymbolTable:
 
     def chain(self, bucket: int) -> list[int]:
         """Symbol indices chained in a bucket (possibly empty)."""
-        if self._buckets is None:
-            self._build_index()
-        assert self._buckets is not None
-        return self._buckets.get(bucket, [])
-
-    def probe_plan(self, name: str, hashes: NameHash | None = None) -> ProbePlan:
-        """The memoized probe replay for ``name`` against this table.
-
-        Built once per (table, name) by walking the hash structures the
-        slow way; every subsequent lookup — and in a Pynamic job the
-        same import/visit names are probed against the same DLL scope
-        once *per rank* — replays the cached offset sequence instead.
-        :meth:`add` invalidates all plans along with the hash index.
-
-        ``hashes`` is the lookup's :class:`NameHash` for ``name``: a
-        plan build takes the name's hash from it, so one lookup hashes
-        its name at most once per style across the whole scope.  A GNU
-        plan derives its Bloom word, Bloom bits and bucket from that one
-        hash.
-        """
-        plan = self._probe_plans.get(name)
-        if plan is not None:
-            return plan
-        if hashes is None:
-            hashes = NameHash(name)
-        if self._buckets is None:
-            self._build_index()
-        bloom_offset = 0
-        bloom_pass = True
-        if self.hash_style is HashStyle.GNU:
-            h = hashes.gnu()
-            bloom_offset = self._bloom_offset(h)
-            bloom_pass = self._bloom_passes(h)
-        else:
-            h = hashes.sysv()
-        bucket_offset = 0
-        steps: list[tuple[int, int, int]] = []
-        symbol: Symbol | None = None
-        if bloom_pass:
-            bucket = h % self._nbuckets
-            bucket_offset = self.bucket_slot_offset(bucket)
-            name_offsets = self.strings._offsets
-            for index in self._buckets.get(bucket, ()):
-                candidate = self._symbols[index - 1]
-                steps.append(
-                    (
-                        SYMBOL_ENTRY_BYTES * index,
-                        strcmp_cost_chars(name, candidate.name),
-                        name_offsets[candidate.name],
-                    )
-                )
-                if candidate.name == name:
-                    symbol = candidate
-                    break
-        plan = ProbePlan(
-            bucket_offset=bucket_offset,
-            steps=tuple(steps),
-            symbol=symbol,
-            bloom_offset=bloom_offset,
-            bloom_pass=bloom_pass,
-        )
-        self._probe_plans[name] = plan
-        return plan
+        if not 0 <= bucket < self.nbuckets:
+            raise ConfigError(f"bucket {bucket} out of range")
+        chains = self.bucket_chains
+        if chains is None:
+            chains = self.compile()
+        return [offset // SYMBOL_ENTRY_BYTES for offset, _, _ in chains[bucket]]
 
     # -- byte sizes ---------------------------------------------------------
     @property
@@ -409,7 +435,7 @@ class SymbolTable:
         nchain = len(self._symbols) + 1
         if self.hash_style is HashStyle.GNU:
             return (
-                16  # nbuckets, symoffset, bloom_size, bloom_shift
+                GNU_HASH_HEADER_BYTES
                 + 8 * self.bloom_words
                 + HASH_SLOT_BYTES * (self.nbuckets + nchain)
             )

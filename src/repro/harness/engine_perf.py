@@ -27,7 +27,6 @@ from repro.perf.bench import (
     bench_earliest_gap,
     bench_reserve,
     bench_scheduler,
-    bench_symbol_probe,
 )
 from repro.scenario.builder import Scenario
 from repro.scenario.run import simulate
@@ -102,37 +101,6 @@ def run(sizes=None, smoke: bool = False) -> ExperimentResult:
         "EventScheduler pop/step/push rate over trivial tasks",
         ["tasks", "steps", "steps/sec"],
         [[scheduler.size, scheduler.ops, f"{scheduler.ops_per_sec:,.0f}"]],
-    )
-
-    # The resolver's probe-plan cache (the symbol-probe hot path the
-    # ROADMAP flags at ~1 s/rank on 16k-rank jobs): cached replay vs
-    # the per-lookup hash walk it memoizes.
-    probe = bench_symbol_probe(
-        size=512 if smoke else 4096,
-        n_ops=n_ops,
-        repeats=repeats,
-    )
-    probe_speedup = (
-        probe["cached"].ops_per_sec / probe["uncached"].ops_per_sec
-    )
-    result.metrics["symbol_probe_ops_per_s[cached]"] = probe[
-        "cached"
-    ].ops_per_sec
-    result.metrics["symbol_probe_ops_per_s[uncached]"] = probe[
-        "uncached"
-    ].ops_per_sec
-    result.metrics["symbol_probe_speedup"] = probe_speedup
-    result.add_table(
-        "symbol probe-plan cache vs per-lookup hash walk",
-        ["symbols", "cached (ops/s)", "uncached (ops/s)", "speedup"],
-        [
-            [
-                probe["cached"].size,
-                f"{probe['cached'].ops_per_sec:,.0f}",
-                f"{probe['uncached'].ops_per_sec:,.0f}",
-                f"{probe_speedup:.0f}x",
-            ]
-        ],
     )
 
     # One end-to-end cold multirank job grounds the microbenchmarks: the

@@ -8,23 +8,25 @@ compares candidate names.  Every step is charged as real memory traffic
 L1-D miss explosion of lazily-bound pre-linked builds (Table II).
 
 As in glibc, a lookup hashes the wanted name once, not once per scope
-object: :meth:`SymbolResolver.lookup` makes one
-:class:`~repro.elf.symbols.NameHash` per lookup, which computes each
-hash style at most once and only when a table actually needs it, and
-hands it to every table it probes.
+object, and as with ``ld``, a name the build defines was hashed at link
+time: :meth:`SymbolResolver.lookup` takes its
+:class:`~repro.elf.symbols.NameHash` from the build's
+:class:`~repro.elf.symbols.LinkHashes`, so it hashes a defined name
+zero times and any other name at most once per style.
 
-The *charged* traffic is identical on every lookup of a name against an
-unchanged table, so the per-object probe is driven by a memoized
-:class:`~repro.elf.symbols.ProbePlan`: the chain walk, strcmp prefix
-lengths and string-table offsets are computed once per (table, name)
-and replayed for every rank that binds the same symbol — the
-symbol-probe hot path ROADMAP flags on 16k-rank jobs.  Replay adds the
-object's hash/dynsym/dynstr bases, kept as plain ints on the
-:class:`~repro.elf.linkmap.LoadedObject`, and preserves the exact
-``work``/``dread`` call sequence (per-call cycle rounding and cache
-state depend on it), pinned bit-identical against
-:meth:`SymbolResolver._probe_reference`, the original walk kept as the
-reference implementation.
+:meth:`SymbolResolver.lookup` runs the whole scope walk in one loop over
+each table's compiled bucket chains (:meth:`SymbolTable.compile`): the
+Bloom word, the bucket slot, and per chain entry the ``Elf64_Sym`` and
+the ``.dynstr`` bytes strcmp examined.  Each read takes the execution
+context's access path inline: the resident-page filter, then
+:meth:`~repro.cache.hierarchy.CacheHierarchy.walk`.  Instruction work
+is rounded to cycles step by step, exactly as
+:meth:`ExecutionContext.work` rounds it, and the cycles pile up in a
+local that is added to the node clock before any page fault is
+serviced (a major fault reads the file at the current clock) and at the
+end.  The charged clock, counters and cache state are those of the
+per-probe ``work``/``dread`` walk, which ``tests/test_resolver_plans.py``
+keeps as the reference.
 """
 
 from __future__ import annotations
@@ -33,12 +35,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.elf.linkmap import LoadedObject
-from repro.elf.sections import SectionKind
 from repro.elf.symbols import (
+    GNU_HASH_HEADER_BYTES,
+    HASH_HEADER_BYTES,
     SYMBOL_ENTRY_BYTES,
     HashStyle,
     NameHash,
     Symbol,
+    bloom_probe,
     strcmp_cost_chars,
 )
 from repro.errors import UndefinedSymbolError
@@ -46,9 +50,6 @@ from repro.machine.context import ExecutionContext
 
 #: Bytes of a hash bucket slot read per probe.
 _BUCKET_READ_BYTES = 4
-
-# Kept under the historical name for callers and tests.
-_strcmp_cost_chars = strcmp_cost_chars
 
 
 @dataclass(frozen=True)
@@ -81,102 +82,101 @@ class SymbolResolver:
         Raises :class:`UndefinedSymbolError` when no object defines it.
         """
         costs = ctx.costs
+        cpi = costs.cycles_per_instruction
         self.lookups += 1
         # The name hash is computed once per lookup (glibc caches it),
         # and charged once here.
-        ctx.work(
+        pending = costs.instructions_to_cycles(
             costs.lookup_base_instructions
             + costs.hash_instructions_per_char * len(name)
         )
-        hashes = NameHash(name)
+        bloom_cycles = round(costs.bloom_check_instructions * cpi)
+        probe_cycles = round(costs.probe_instructions * cpi)
+        strcmp_per_char = costs.strcmp_instructions_per_char
+        name_chars = len(name) + 1  # an equal name: every char, then NUL
+        first_char = name[:1]
+        if scope:
+            hashes = scope[0].shared_object.symbol_table.link_hashes.name_hash(name)
+        else:
+            hashes = NameHash(name)
+        gnu_style = HashStyle.GNU
+        clock = ctx._clock
+        present = ctx._present
+        shift = ctx._page_shift
+        touch = ctx._touch
+        walk = ctx._walk
+        l1d = ctx._l1d
         probed = 0
         for obj in scope:
             probed += 1
-            symbol = self._probe(ctx, obj, name, hashes)
-            if symbol is not None:
-                self.total_probes += probed
-                return ResolutionResult(
-                    provider=obj,
-                    symbol=symbol,
-                    objects_probed=probed,
-                    address=obj.symbol_value_addr(symbol),
-                )
+            table = obj.shared_object.symbol_table
+            chains = table.bucket_chains
+            if chains is None:
+                chains = table.compile()
+            hash_base = obj.hash_base
+            if table.hash_style is gnu_style:
+                # DT_GNU_HASH fast path: one Bloom-word read rejects objects
+                # that cannot define the symbol — the post-2007 fix for
+                # exactly the scope-walk cost Pynamic exposes.
+                bloom = table.bloom
+                word, mask = bloom_probe(hashes.gnu(), len(bloom))
+                pending += bloom_cycles
+                address = hash_base + GNU_HASH_HEADER_BYTES + 8 * word
+                page = address >> shift
+                if page not in present or (address + 7) >> shift != page:
+                    clock.add_cycles(pending)
+                    pending = 0
+                    touch(address, 8)
+                pending += walk(l1d, address, 8)
+                if bloom[word] & mask != mask:
+                    continue
+                bucket = hashes.gnu() % len(chains)
+            else:
+                bucket = hashes.sysv() % len(chains)
+            pending += probe_cycles
+            address = hash_base + HASH_HEADER_BYTES + _BUCKET_READ_BYTES * bucket
+            page = address >> shift
+            if page not in present or (address + 3) >> shift != page:
+                clock.add_cycles(pending)
+                pending = 0
+                touch(address, _BUCKET_READ_BYTES)
+            pending += walk(l1d, address, _BUCKET_READ_BYTES)
+            dynsym_base = obj.dynsym_base
+            dynstr_base = obj.dynstr_base
+            for entry_offset, name_offset, symbol in chains[bucket]:
+                address = dynsym_base + entry_offset
+                page = address >> shift
+                if page not in present or (address + 23) >> shift != page:
+                    clock.add_cycles(pending)
+                    pending = 0
+                    touch(address, SYMBOL_ENTRY_BYTES)
+                pending += walk(l1d, address, SYMBOL_ENTRY_BYTES)
+                # glibc strcmp's every chain entry against the wanted name.
+                candidate = symbol.name
+                match = candidate == name
+                if match:
+                    chars = name_chars
+                elif candidate[:1] != first_char:
+                    chars = 1  # most chain neighbours differ at once
+                else:
+                    chars = strcmp_cost_chars(name, candidate)
+                pending += round(strcmp_per_char * chars * cpi)
+                address = dynstr_base + name_offset
+                page = address >> shift
+                if page not in present or (address + chars - 1) >> shift != page:
+                    clock.add_cycles(pending)
+                    pending = 0
+                    touch(address, chars)
+                pending += walk(l1d, address, chars)
+                if match:
+                    clock.add_cycles(pending)
+                    self.total_probes += probed
+                    return ResolutionResult(
+                        provider=obj,
+                        symbol=symbol,
+                        objects_probed=probed,
+                        address=obj.symbol_value_addr(symbol),
+                    )
+        clock.add_cycles(pending)
         self.total_probes += probed
         raise UndefinedSymbolError(name, len(scope))
-
-    def _probe(
-        self,
-        ctx: ExecutionContext,
-        obj: LoadedObject,
-        name: str,
-        hashes: NameHash | None = None,
-    ) -> Symbol | None:
-        """Probe one object's hash table; None if it lacks the symbol.
-
-        Replays the table's memoized :class:`ProbePlan` (built, on a
-        miss, from the lookup's ``hashes``): the plan holds
-        section-relative offsets, the object's per-process load bases
-        are added here, and the ``work``/``dread`` sequence charged is
-        exactly the one :meth:`_probe_reference` would issue.
-        """
-        costs = ctx.costs
-        table = obj.shared_object.symbol_table
-        plan = table.probe_plan(name, hashes)
-        hash_base = obj.hash_base
-        if table.hash_style is HashStyle.GNU:
-            # DT_GNU_HASH fast path: one Bloom-word read rejects objects
-            # that cannot define the symbol — the post-2007 fix for
-            # exactly the scope-walk cost Pynamic exposes.
-            ctx.work(costs.bloom_check_instructions)
-            ctx.dread(hash_base + plan.bloom_offset, 8)
-            if not plan.bloom_pass:
-                return None
-        ctx.work(costs.probe_instructions)
-        ctx.dread(hash_base + plan.bucket_offset, _BUCKET_READ_BYTES)
-        dynsym_base = obj.dynsym_base
-        dynstr_base = obj.dynstr_base
-        strcmp_per_char = costs.strcmp_instructions_per_char
-        work = ctx.work
-        dread = ctx.dread
-        for entry_offset, chars, name_offset in plan.steps:
-            dread(dynsym_base + entry_offset, SYMBOL_ENTRY_BYTES)
-            # glibc strcmp's every chain entry against the wanted name.
-            work(strcmp_per_char * chars)
-            dread(dynstr_base + name_offset, chars)
-        return plan.symbol
-
-    def _probe_reference(
-        self,
-        ctx: ExecutionContext,
-        obj: LoadedObject,
-        name: str,
-        hashes: NameHash | None = None,
-    ) -> Symbol | None:
-        """The original un-memoized probe, kept as the reference.
-
-        Tests pin :meth:`_probe` bit-identical against this walk, and
-        the ``symbol_probe`` microbenchmark measures the plan cache
-        against the per-lookup structure walk it replaced.  It hashes
-        ``name`` itself and ignores ``hashes``.
-        """
-        costs = ctx.costs
-        table = obj.shared_object.symbol_table
-        if table.hash_style is HashStyle.GNU:
-            ctx.work(costs.bloom_check_instructions)
-            ctx.dread(
-                obj.base(SectionKind.HASH) + table.bloom_word_offset(name), 8
-            )
-            if not table.bloom_maybe_contains(name):
-                return None
-        ctx.work(costs.probe_instructions)
-        bucket = table.bucket_of(name)
-        ctx.dread(obj.hash_slot_addr(bucket), _BUCKET_READ_BYTES)
-        for index in table.chain(bucket):
-            candidate = table.at(index)
-            ctx.dread(obj.symbol_entry_addr(index), SYMBOL_ENTRY_BYTES)
-            chars = strcmp_cost_chars(name, candidate.name)
-            ctx.work(costs.strcmp_instructions_per_char * chars)
-            ctx.dread(obj.symbol_name_addr(candidate.name), chars)
-            if candidate.name == name:
-                return candidate
-        return None

@@ -14,7 +14,9 @@ address space's resident-page set, cached here) skips
 page; anything else falls through to :meth:`ExecutionContext._touch`,
 which services faults as before.  The access then goes straight to the
 hierarchy's single fused per-line walk,
-:meth:`~repro.cache.hierarchy.CacheHierarchy.walk`.
+:meth:`~repro.cache.hierarchy.CacheHierarchy.walk`.  The resolver's
+scope walk (:meth:`repro.linker.resolver.SymbolResolver.lookup`)
+inlines the same path and reads the same cached fields.
 """
 
 from __future__ import annotations

@@ -211,70 +211,3 @@ def bench_scheduler(
         trials.append(time.perf_counter() - begin)
         ops = scheduler.steps_run
     return BenchResult("scheduler_run", "timeline", n_tasks, ops, _best_of(trials))
-
-
-def _build_symbol_table(size: int, name_length: int):
-    """A populated SysV symbol table with padded, realistic names."""
-    from repro.elf.symbols import Symbol, SymbolKind, SymbolTable
-
-    table = SymbolTable()
-    names = []
-    for i in range(size):
-        stem = f"MPIDO_generated_symbol_{i:06d}_"
-        name = stem + "x" * max(0, name_length - len(stem))
-        names.append(name)
-        table.add(Symbol(name=name, kind=SymbolKind.FUNCTION, value=16 * i,
-                         size=16))
-    table.nbuckets  # build the hash index outside the timed region
-    return table, names
-
-
-def bench_symbol_probe(
-    size: int = 4096,
-    n_ops: int = 512,
-    repeats: int = 3,
-    name_length: int = 48,
-) -> dict[str, BenchResult]:
-    """Time the probe-plan cache against the per-lookup hash walk.
-
-    The resolver's hot path re-probed the same names against the same
-    DLL hash tables once per rank — the symbol-probe cost ROADMAP
-    flags as dominating 16k-rank jobs at ~1 s/rank.  ``cached`` replays
-    the memoized :meth:`SymbolTable.probe_plan`; ``uncached`` clears
-    the plan cache before every lookup, forcing the name hash, bucket
-    chase and strcmp walk the old ``_probe`` paid every time.  Returns
-    ``{"cached": ..., "uncached": ...}``.
-    """
-    if size < 1 or n_ops < 1 or repeats < 1:
-        raise ConfigError("benchmark sizes must be positive")
-    table, names = _build_symbol_table(size, name_length)
-    probe_names = [names[(i * _STRIDE) % size] for i in range(n_ops)]
-
-    uncached_trials = []
-    for _ in range(repeats):
-        plans = table._probe_plans
-        probe_plan = table.probe_plan
-        begin = time.perf_counter()
-        for name in probe_names:
-            plans.clear()
-            probe_plan(name)
-        uncached_trials.append(time.perf_counter() - begin)
-
-    cached_trials = []
-    for _ in range(repeats):
-        probe_plan = table.probe_plan
-        for name in probe_names:
-            probe_plan(name)  # warm outside the timed region
-        begin = time.perf_counter()
-        for name in probe_names:
-            probe_plan(name)
-        cached_trials.append(time.perf_counter() - begin)
-
-    return {
-        "cached": BenchResult(
-            "symbol_probe", "cached", size, n_ops, _best_of(cached_trials)
-        ),
-        "uncached": BenchResult(
-            "symbol_probe", "uncached", size, n_ops, _best_of(uncached_trials)
-        ),
-    }

@@ -4,10 +4,10 @@ import pytest
 
 from repro.elf.image import Executable, SharedObject
 from repro.elf.sections import SectionKind
-from repro.elf.symbols import Symbol, SymbolKind
+from repro.elf.symbols import Symbol, SymbolKind, strcmp_cost_chars
 from repro.errors import AlreadyLinkedError, LinkError, UndefinedSymbolError
 from repro.linker.dynamic import DynamicLinker
-from repro.linker.resolver import SymbolResolver, _strcmp_cost_chars
+from repro.linker.resolver import SymbolResolver
 from repro.linker.static import StaticLinker
 from repro.machine.context import ExecutionContext
 from repro.machine.node import Node
@@ -257,9 +257,9 @@ class TestResolverCosts:
         assert early.objects_probed < late.objects_probed
 
     def test_strcmp_cost_model(self):
-        assert _strcmp_cost_chars("abc", "abd") == 3
-        assert _strcmp_cost_chars("abc", "abc") == 4  # incl. the NUL check
-        assert _strcmp_cost_chars("x", "y") == 1
+        assert strcmp_cost_chars("abc", "abd") == 3
+        assert strcmp_cost_chars("abc", "abc") == 4  # incl. the NUL check
+        assert strcmp_cost_chars("x", "y") == 1
 
     def test_lookup_counts(self, world):
         exe, registry, linker, process, ctx = world
