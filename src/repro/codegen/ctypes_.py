@@ -38,6 +38,11 @@ class CType(enum.Enum):
         }[self]
 
 
+#: Every :class:`CType` in definition order: the draw table of
+#: :meth:`Signature.random`, built once instead of per argument.
+C_TYPES: tuple[CType, ...] = tuple(CType)
+
+
 @dataclass(frozen=True)
 class Signature:
     """A generated function signature: fixed int return, 0-5 typed args."""
@@ -73,5 +78,5 @@ class Signature:
     def random(rng: SeededRng) -> "Signature":
         """Draw a signature uniformly: arity 0-5, types uniform."""
         arity = rng.randint(MIN_ARGS, MAX_ARGS)
-        types = tuple(rng.choice(list(CType)) for _ in range(arity))
+        types = tuple(rng.choice(C_TYPES) for _ in range(arity))
         return Signature(args=types)

@@ -15,18 +15,36 @@ every DLL read through the shared NFS server's timed FIFO queue
 Homogeneous warm jobs reproduce the analytic rank-0 numbers (the golden
 regression tests pin this), so the analytic path remains the validated
 fast mode; this engine is the scenario mode.
+
+Simulated ranks with the same build, node costs, OS profile, staging
+router and cache warmth share one compute trace
+(:mod:`repro.core.ranktrace`): the first of them runs live and records
+its memory-model and resolver work as cycle counts between its file
+queries, and the rest replay those counts while issuing the same
+queries live at their own clocks, so NFS queueing and skew still
+emerge per rank.  A rank whose page-cache answer differs from the
+trace, or that runs ahead of what has been recorded, rebuilds and runs
+live.  Reports are bit-identical to running every rank live.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Generator, Sequence
+from typing import Callable, Generator, Sequence
 
 from repro.core.builds import BuildImage, BuildMode, build_benchmark
 from repro.core.config import PynamicConfig
 from repro.core.driver import DriverReport, PynamicDriver
 from repro.core.generator import generate
 from repro.core.job import JobReport
+from repro.core.ranktrace import (
+    Follower,
+    TraceStore,
+    TracedNode,
+    trace_key,
+    traced,
+)
 from repro.core.specs import BenchmarkSpec
 from repro.dist.overlay import DistributionOverlay, StagingPlan
 from repro.dist.topology import DistributionSpec
@@ -34,9 +52,10 @@ from repro.elf.symbols import HashStyle
 from repro.errors import ConfigError, DriverError
 from repro.faults.metrics import DegradationStats
 from repro.faults.spec import FaultSpec
+from repro.fs.files import BackingFileSystem
 from repro.linker.dynamic import DynamicLinker
 from repro.machine.cluster import Cluster, ClusterSlice
-from repro.machine.context import ExecutionContext
+from repro.machine.context import ClockContext, ExecutionContext
 from repro.machine.costs import CostModel
 from repro.machine.node import Node, TimedReadNode
 from repro.machine.osprofile import OsProfile, linux_chaos
@@ -168,10 +187,17 @@ class _SteppedDriver(PynamicDriver, SteppedProgram):
 
     The MPI test is *not* run here — the engine synchronizes all ranks
     and runs the collective once, charging each rank its barrier wait.
+    ``on_mark`` (when set) hears each phase mark — ``"startup"``, then
+    ``"+import"``/``"-import"`` and ``"+visit"``/``"-visit"`` — at the
+    clock reading the phase timer takes, so a rank trace can replay the
+    timer on another rank's clock.
     """
 
-    def __init__(self, **kwargs: object) -> None:
+    def __init__(
+        self, on_mark: "Callable[[str], None] | None" = None, **kwargs: object
+    ) -> None:
         super().__init__(**kwargs)  # type: ignore[arg-type]
+        self._on_mark = on_mark
         self._startup_s = 0.0
         self._timer: PhaseTimer | None = None
         self._fixups_before = 0
@@ -186,14 +212,37 @@ class _SteppedDriver(PynamicDriver, SteppedProgram):
         self._timer = timer = PhaseTimer(ctx.node.clock)
         self._fixups_before = self.linker.lazy_fixups
         self._eager_before = self.linker.eager_plt_resolutions
-        with timer.phase("import"), self.papi.phase("import"):
+        mark = self._on_mark
+        if mark is not None:
+            mark("startup")
+        for phase, run in (
+            ("import", self._import_module),
+            ("visit", self._visit_module),
+        ):
+            timer.start(phase)
+            self.papi.start(phase)
+            if mark is not None:
+                mark("+" + phase)
             for module in self.build.spec.modules:
-                self._import_module(module)
+                run(module)
                 yield
-        with timer.phase("visit"), self.papi.phase("visit"):
-            for module in self.build.spec.modules:
-                self._visit_module(module)
-                yield
+            self.papi.stop(phase)
+            timer.stop(phase)
+            if mark is not None:
+                mark("-" + phase)
+
+    def outputs(self) -> dict:
+        """The rank's report fields that do not depend on its clock."""
+        return dict(
+            counters=dict(self.papi.phases),
+            modules_imported=len(self._handles),
+            functions_visited=self._functions_visited,
+            lazy_fixups=self.linker.lazy_fixups - self._fixups_before,
+            eager_plt_resolutions=(
+                self.linker.eager_plt_resolutions - self._eager_before
+            ),
+            major_fault_bytes=self.ctx.major_fault_bytes,
+        )
 
     def final_report(self, mpi_s: float) -> DriverReport:
         """The rank's :class:`DriverReport` once all steps have run."""
@@ -205,14 +254,7 @@ class _SteppedDriver(PynamicDriver, SteppedProgram):
             import_s=self._timer.get("import"),
             visit_s=self._timer.get("visit"),
             mpi_s=mpi_s,
-            counters=dict(self.papi.phases),
-            modules_imported=len(self._handles),
-            functions_visited=self._functions_visited,
-            lazy_fixups=self.linker.lazy_fixups - self._fixups_before,
-            eager_plt_resolutions=(
-                self.linker.eager_plt_resolutions - self._eager_before
-            ),
-            major_fault_bytes=self.ctx.major_fault_bytes,
+            **self.outputs(),
         )
 
 
@@ -245,11 +287,20 @@ class MultiRankJob:
     node buffer caches on the same virtual timeline, and each rank's
     linker blocks on the staged availability instead of demand-paging
     from NFS.
+
+    Independently of those plans, the simulated ranks that share a
+    :func:`~repro.core.ranktrace.trace_key` share one compute trace:
+    one rank records it, the others replay it against live I/O
+    (``self.n_replayed``) or rebuild and run live when they diverge
+    (``self.n_rebuilt``).  This is exact, so it is always on.
     """
 
     @classmethod
     def from_scenario(
-        cls, scenario_spec: "object", batch_homogeneous: bool = True
+        cls,
+        scenario_spec: "object",
+        batch_homogeneous: bool = True,
+        spec: BenchmarkSpec | None = None,
     ) -> "MultiRankJob":
         """Construct the engine run a :class:`ScenarioSpec` declares.
 
@@ -257,7 +308,9 @@ class MultiRankJob:
         callers that predate the scenario API; this is the declarative
         spelling.  ``batch_homogeneous`` stays a constructor knob — it
         selects an equivalent fast path, not a different measurement,
-        so it is not part of the spec (or its hash).
+        so it is not part of the spec (or its hash).  ``spec`` is the
+        benchmark already generated from the scenario's config, when the
+        caller holds one.
         """
         if scenario_spec.engine != "multirank":
             raise ConfigError(
@@ -266,6 +319,7 @@ class MultiRankJob:
             )
         return cls(
             config=scenario_spec.config,
+            spec=spec,
             mode=scenario_spec.mode,
             n_tasks=scenario_spec.n_tasks,
             cores_per_node=scenario_spec.cores_per_node,
@@ -335,11 +389,16 @@ class MultiRankJob:
         self.coalesced = False
         #: Ranks actually driven by the last :meth:`run`.
         self.n_simulated = 0
+        #: Of those, ranks that replayed a shared compute trace to the
+        #: end, and ranks that started replaying but had to rebuild
+        #: (see :mod:`repro.core.ranktrace`); set when the job finalizes.
+        self.n_replayed = 0
+        self.n_rebuilt = 0
         #: The overlay's staging plan (when a distribution ran).
         self.staging_plan: StagingPlan | None = None
         self.n_nodes = max(1, -(-n_tasks // cores_per_node))  # ceil
         self.scenario.validate_node_indices(self.n_nodes)
-        self._drivers: dict[int, _SteppedDriver] = {}
+        self._drivers: dict[int, _SteppedDriver | Follower] = {}
 
     # ------------------------------------------------------------------
     def _node_ranks(self, node_index: int) -> range:
@@ -421,6 +480,12 @@ class MultiRankJob:
         ranks = list(range(self.n_tasks))
         return ranks, {rank: rank for rank in ranks}
 
+    def build_on(self, filesystem: BackingFileSystem) -> BuildImage:
+        """This job's benchmark built and published on ``filesystem``."""
+        return build_benchmark(
+            self.spec, filesystem, self.mode, hash_style=self.hash_style
+        )
+
     def _stage_distribution(
         self, cluster: "Cluster | ClusterSlice", build: BuildImage,
         start_s: float = 0.0,
@@ -446,6 +511,8 @@ class MultiRankJob:
         cluster: "Cluster | ClusterSlice",
         node_indices: "Sequence[int] | None" = None,
         start_s: float = 0.0,
+        build: BuildImage | None = None,
+        traces: TraceStore | None = None,
     ):
         """Prepare the job's rank tasks on a (possibly shared) cluster.
 
@@ -468,6 +535,13 @@ class MultiRankJob:
 
         The caller owns queue hygiene: reset the cluster's filesystem
         queues once per *timeline*, not per job.
+
+        ``build`` is this job's benchmark already built on the cluster's
+        NFS, and ``traces`` a :class:`TraceStore` of that build, when
+        several jobs of one run share them (the workload engine does).
+        Simulated ranks whose :func:`trace_key` matches share one compute
+        trace: the first records it, the rest replay it against live
+        I/O.  A key only one rank of the job holds records nothing.
         """
         if start_s < 0:
             raise ConfigError(f"start_s must be >= 0, got {start_s}")
@@ -493,9 +567,10 @@ class MultiRankJob:
                 ]
                 if windows:
                     fs.add_brownouts(windows)
-        build = build_benchmark(
-            self.spec, view.nfs, self.mode, hash_style=self.hash_style
-        )
+        if build is None:
+            build = self.build_on(view.nfs)
+        if traces is None:
+            traces = TraceStore()
         for image in build.images.values():
             view.file_store.add(image)
         rng = SeededRng(getattr(self.spec.config, "seed", 0))
@@ -503,6 +578,8 @@ class MultiRankJob:
         self.batched = False
         self.cold_batched = False
         self.coalesced = False
+        self.n_replayed = 0
+        self.n_rebuilt = 0
         # The warm-node set is drawn once (forks are pure, so the draw is
         # identical wherever it happens) and shared by the rank plan and
         # the cache warmer.
@@ -522,27 +599,60 @@ class MultiRankJob:
         )
         plan = self._stage_distribution(view, build, start_s=start_s)
         self.staging_plan = plan
-        tasks: list[RankTask] = []
+        warm = set(warm_nodes)
+        rank_setup = {}
         for rank in simulated:
             node_index = rank // self.cores_per_node
-            home = view.nodes[node_index]
-            costs = self.scenario.node_costs(node_index, home.costs)
-            profile = self.scenario.node_profile(node_index, self.os_profile)
-            rank_node = TimedReadNode(
-                name=f"{home.name}:rank{rank}",
-                costs=costs,
-                buffer_cache=home.buffer_cache,
-                cores=1,
+            costs = self.scenario.node_costs(
+                node_index, view.nodes[node_index].costs
             )
+            profile = self.scenario.node_profile(node_index, self.os_profile)
+            router = plan.router_for(node_index) if plan is not None else None
+            key = trace_key(
+                costs, profile, router is not None, node_index in warm
+            )
+            rank_setup[rank] = (node_index, costs, profile, router, key)
+        sharers = Counter(setup[4] for setup in rank_setup.values())
+        followers: list[Follower] = []
+        tasks: list[RankTask] = []
+        for rank in simulated:
+            node_index, costs, profile, router, key = rank_setup[rank]
+            home = view.nodes[node_index]
+            name = f"{home.name}:rank{rank}"
+            trace = traces.get(key) if key is not None else None
+            if key is None or (trace is None and sharers[key] < 2):
+                rank_node: TimedReadNode = TimedReadNode(
+                    name=name,
+                    costs=costs,
+                    buffer_cache=home.buffer_cache,
+                    cores=1,
+                )
+                steps = self._rank_steps(
+                    rank, rank_node, build, profile, rng, router
+                )
+            else:
+                rank_node = TracedNode(name, costs, home.buffer_cache)
+                if trace is None:
+                    rank_node.trace = traces.claim(key)
+                    steps = traced(
+                        self._rank_steps(
+                            rank, rank_node, build, profile, rng, router
+                        ),
+                        rank_node,
+                    )
+                else:
+                    follower = self._follower(
+                        rank, rank_node, trace, build, profile, rng, router
+                    )
+                    followers.append(follower)
+                    self._drivers[rank] = follower
+                    steps = follower.steps()
             if start_s > 0.0:
                 rank_node.clock.advance_to_seconds(start_s)
-            router = plan.router_for(node_index) if plan is not None else None
             tasks.append(
                 RankTask(
                     rank,
-                    self._rank_steps(
-                        rank, rank_node, build, profile, rng, router
-                    ),
+                    steps,
                     now=lambda clock=rank_node.clock: clock.seconds,
                     multiplicity=multiplicity[rank],
                 )
@@ -555,6 +665,8 @@ class MultiRankJob:
                     raise ConfigError(
                         f"finalize before rank {task.rank} completed"
                     )
+            self.n_replayed = sum(f.replayed for f in followers)
+            self.n_rebuilt = sum(f.rebuilt for f in followers)
             mpi_per_rank = self._mpi_phase(view, simulated)
             reports = {
                 rank: self._drivers[rank].final_report(
@@ -663,6 +775,18 @@ class MultiRankJob:
             for image in build.images.values():
                 cluster.nodes[index].buffer_cache.read(image)
 
+    def _launch_delay(
+        self, ctx: ClockContext, rank: int, rng: SeededRng
+    ) -> None:
+        """A rank's launch step: launcher latency plus its OS jitter."""
+        ctx.stall_seconds(ctx.costs.job_launch_latency_s)
+        if self.scenario.os_jitter_s > 0.0:
+            ctx.stall_seconds(
+                rng.fork(f"rank{rank}:jitter").uniform(
+                    0.0, self.scenario.os_jitter_s
+                )
+            )
+
     def _rank_steps(
         self,
         rank: int,
@@ -671,8 +795,12 @@ class MultiRankJob:
         profile: OsProfile,
         rng: SeededRng,
         router: "object | None" = None,
-    ) -> Generator[None, None, None]:
-        """One rank's whole job as a resumable generator."""
+    ) -> Generator[None, None, dict]:
+        """One rank's whole job as a resumable generator.
+
+        Returns the rank's clock-free outputs (the end of its trace
+        when ``node`` records one).
+        """
         env = {}
         if self.mode is BuildMode.LINKED_BIND_NOW:
             env["LD_BIND_NOW"] = "1"
@@ -680,13 +808,7 @@ class MultiRankJob:
             profile=profile, env=env, rng=rng.fork(f"rank{rank}:aslr")
         )
         ctx = ExecutionContext(process)
-        ctx.stall_seconds(ctx.costs.job_launch_latency_s)
-        if self.scenario.os_jitter_s > 0.0:
-            ctx.stall_seconds(
-                rng.fork(f"rank{rank}:jitter").uniform(
-                    0.0, self.scenario.os_jitter_s
-                )
-            )
+        self._launch_delay(ctx, rank, rng)
         yield
         linker = DynamicLinker(
             build.registry, prelink=self.prelink, router=router  # type: ignore[arg-type]
@@ -697,11 +819,40 @@ class MultiRankJob:
         yield from linker.start_program_steps(process, build.executable, ctx)
         ctx.work(ctx.costs.interpreter_boot_instructions)
         driver = _SteppedDriver(
-            build=build, linker=linker, process=process, ctx=ctx
+            build=build,
+            linker=linker,
+            process=process,
+            ctx=ctx,
+            on_mark=(
+                node.record_mark if isinstance(node, TracedNode) else None
+            ),
         )
         self._drivers[rank] = driver
         yield
         yield from driver.steps()
+        return driver.outputs()
+
+    def _follower(
+        self,
+        rank: int,
+        node: TracedNode,
+        trace: list[tuple],
+        build: BuildImage,
+        profile: OsProfile,
+        rng: SeededRng,
+        router: "object | None",
+    ) -> Follower:
+        """A rank replaying ``trace``; a rebuild re-runs it live on ``node``."""
+        return Follower(
+            node,
+            trace,
+            router,
+            build.mode.value,
+            launch=lambda ctx: self._launch_delay(ctx, rank, rng),
+            live=lambda: self._rank_steps(
+                rank, node, build, profile, rng, router
+            ),
+        )
 
     def _mpi_phase(
         self, cluster: Cluster, simulated: list[int]

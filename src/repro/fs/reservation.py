@@ -40,8 +40,8 @@ unmerged timelines return bit-identical gap placements.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from math import ulp
+from bisect import bisect_left, bisect_right
+from math import inf, ulp
 
 #: Largest hole (seconds) that adjacent windows close over when merging.
 #: Far below any service time the simulation can produce (see module
@@ -52,32 +52,42 @@ DEFAULT_MERGE_EPS = 1e-12
 class ReservationTimeline:
     """Sorted disjoint busy windows with O(log n) earliest-gap booking.
 
-    The structure keeps three parallel lists: window starts, window ends
-    and a suffix maximum of the free holes *after* each window
-    (``_suffix[i]`` = the widest hole between consecutive windows at
-    index >= i; the unbounded space after the last window is handled
-    separately).  ``earliest_gap`` bisects to the first window that can
-    constrain the request, then walks forward — but any region whose
-    suffix maximum cannot fit the request is skipped in one hop to the
-    tail, so a request too large for every interior hole resolves in
-    O(log n) regardless of timeline length.
+    The structure keeps the window starts and ends as two parallel
+    lists, plus the free holes *between* consecutive windows that are
+    wider than every hole to their right: the hole records.  Read right
+    to left, the records are the running maxima of the holes, so the
+    widest hole at or after window ``i`` (its suffix maximum) is the
+    first record at or after ``i``.  ``earliest_gap`` bisects to the
+    first window that can constrain the request, then walks forward, but
+    stops as soon as it passes the last record wide enough for the
+    request: beyond it no interior hole fits, so the answer is the tail.
+    A request too large for every interior hole resolves in O(log n)
+    regardless of timeline length.
 
-    The suffix is maintained incrementally: a tail append touches it
-    only while the new hole exceeds existing maxima, and an interior
-    booking (which can only *shrink* holes) repairs it backward until
-    the stored values stabilize.
+    Each record is keyed by the start time of the window after its hole,
+    so inserting a window does not renumber the records.  A tail append
+    pops the records no wider than its new hole and pushes that hole:
+    amortized O(1), however the holes grow.  An interior booking can
+    only shrink, split or close holes; when it touches a record it
+    rescans the holes back to the previous record and no further.
     """
 
-    __slots__ = ("_starts", "_ends", "_suffix", "merge_eps", "bookings")
+    __slots__ = (
+        "_starts", "_ends", "_record_keys", "_record_widths", "merge_eps",
+        "bookings",
+    )
 
     def __init__(self, merge_eps: float = DEFAULT_MERGE_EPS) -> None:
         if merge_eps < 0.0:
             raise ValueError(f"merge_eps must be >= 0, got {merge_eps}")
         self._starts: list[float] = []
         self._ends: list[float] = []
-        #: _suffix[i] = max(starts[j+1] - ends[j] for j in i..n-2), 0.0
-        #: when no interior hole follows window i.
-        self._suffix: list[float] = []
+        #: Hole records, left to right: the start of the window after
+        #: each record hole (increasing), and the hole's width *negated*
+        #: (increasing too, since record widths decrease left to right),
+        #: so both lists bisect directly.
+        self._record_keys: list[float] = []
+        self._record_widths: list[float] = []
         self.merge_eps = merge_eps
         #: Total windows ever booked (merges collapse storage, not this).
         self.bookings = 0
@@ -109,7 +119,7 @@ class ReservationTimeline:
 
         Bit-identical to :func:`legacy_earliest_gap` over the same
         windows: the fit test is the same ``begin + service <= start``
-        float comparison, and the suffix skip only prunes regions where
+        float comparison, and the record cut-off only prunes holes where
         that test could not succeed even under worst-case rounding (the
         threshold carries a 4-ulp guard).
         """
@@ -125,19 +135,24 @@ class ReservationTimeline:
         # The hole between the arrival and the first constraining window.
         if arrival + service <= starts[i]:
             return arrival
-        suffix = self._suffix
-        # Conservative prune threshold: skipping is only allowed when no
-        # interior hole could pass the exact fit test even with float
-        # slop, so pruned and unpruned walks return identical results.
-        guard = service - 4.0 * ulp(last_end)
         begin = ends[i]
-        while i < n - 1:
-            if suffix[i] < guard:
+        if i < n - 1:
+            # Conservative prune threshold: skipping is only allowed when
+            # no interior hole could pass the exact fit test even with
+            # float slop, so pruned and unpruned walks agree.  Holes past
+            # the last record at least ``guard`` wide cannot fit.
+            guard = service - 4.0 * ulp(last_end)
+            wide = bisect_right(self._record_widths, -guard)
+            if wide == 0:
                 return last_end
-            if begin + service <= starts[i + 1]:
-                return begin
-            i += 1
-            begin = ends[i]
+            last_fit = bisect_left(starts, self._record_keys[wide - 1]) - 1
+            while i < n - 1:
+                if i > last_fit:
+                    return last_end
+                if begin + service <= starts[i + 1]:
+                    return begin
+                i += 1
+                begin = ends[i]
         return begin
 
     # -- mutation ------------------------------------------------------
@@ -158,7 +173,6 @@ class ReservationTimeline:
         if n == 0:
             starts.append(begin)
             ends.append(end)
-            self._suffix.append(0.0)
             return
         last_end = ends[n - 1]
         if begin >= last_end:
@@ -167,28 +181,43 @@ class ReservationTimeline:
                 return
             starts.append(begin)
             ends.append(end)
-            self._suffix.append(0.0)
-            self._repair_suffix(n - 1)
+            # The new hole is the rightmost: it outranks every record no
+            # wider than itself.
+            negated = last_end - begin
+            keys, widths = self._record_keys, self._record_widths
+            while widths and widths[-1] >= negated:
+                keys.pop()
+                widths.pop()
+            keys.append(begin)
+            widths.append(negated)
             return
         i = bisect_right(starts, begin)
         # Window i-1 ends at or before `begin`; window i starts after it.
+        following = starts[i] if i < n else inf
         left = i > 0 and begin - ends[i - 1] <= eps
-        right = i < n and starts[i] - end <= eps
+        right = following - end <= eps
         if left and right:
             ends[i - 1] = ends[i]
-            del starts[i], ends[i], self._suffix[i]
-            self._repair_suffix(i - 1)
+            del starts[i], ends[i]
+            self._repair(following, following)
         elif left:
             ends[i - 1] = end
-            self._repair_suffix(i - 1)
+            self._repair(following, following)
         elif right:
             starts[i] = begin
-            self._repair_suffix(i - 1)
+            if i > 0:
+                self._repair(begin, following)
         else:
             starts.insert(i, begin)
             ends.insert(i, end)
-            self._suffix.insert(i, 0.0)
-            self._repair_suffix(i)
+            if i > 0:
+                self._repair(begin, following)
+            elif not self._record_widths or (
+                end - following < self._record_widths[0]
+            ):
+                # A new leftmost hole, wider than every hole after it.
+                self._record_keys.insert(0, following)
+                self._record_widths.insert(0, end - following)
 
     def reserve(self, arrival: float, service: float) -> float:
         """Book the earliest free window; returns its start time."""
@@ -210,46 +239,61 @@ class ReservationTimeline:
         return self.reserve(arrival, service) - arrival
 
     # -- internals -----------------------------------------------------
-    def _repair_suffix(self, index: int) -> None:
-        """Re-establish the suffix-max invariant from ``index`` down.
+    def _repair(self, low_key: float, high_key: float) -> None:
+        """Re-establish the hole records after holes keyed in
+        ``[low_key, high_key]`` shrank, split, closed or were re-keyed.
 
-        Walks toward the front recomputing ``_suffix[j] = max(hole(j),
-        _suffix[j+1])`` and stops at the first entry whose stored value
-        is already correct — every earlier entry is then correct too,
-        because holes at other positions were untouched.
+        Such a change only matters if a record sits in that key range.
+        Then the holes from the last one keyed at most ``high_key`` back
+        to the previous surviving record are rescanned right to left;
+        records further left stay valid, since each was wider than every
+        hole after it before the change and none grew.
         """
-        starts, ends, suffix = self._starts, self._ends, self._suffix
-        n = len(starts)
-        if index >= n:  # the mutated window was the last: nothing after
+        keys, widths = self._record_keys, self._record_widths
+        first = bisect_left(keys, low_key)
+        stop = bisect_right(keys, high_key)
+        if first == stop:
             return
-        following = suffix[index + 1] if index + 1 < n else 0.0
-        j = index
-        while j >= 0:
-            if j + 1 < n:
-                hole = starts[j + 1] - ends[j]
-                value = hole if hole > following else following
-            else:
-                value = 0.0
-            if suffix[j] == value:
-                return
-            suffix[j] = value
-            following = value
-            j -= 1
+        starts, ends = self._starts, self._ends
+        lowest = bisect_left(starts, keys[first - 1]) if first > 0 else 0
+        hole = bisect_right(starts, high_key) - 2
+        floor = -widths[stop] if stop < len(widths) else 0.0
+        found_keys: list[float] = []
+        found_widths: list[float] = []
+        while hole >= lowest:
+            width = starts[hole + 1] - ends[hole]
+            if width > floor:
+                found_keys.append(starts[hole + 1])
+                found_widths.append(-width)
+                floor = width
+            hole -= 1
+        found_keys.reverse()
+        found_widths.reverse()
+        keys[first:stop] = found_keys
+        widths[first:stop] = found_widths
 
     def _check_invariants(self) -> None:
         """Assert structural invariants (test/debug hook, not hot path)."""
-        starts, ends, suffix = self._starts, self._ends, self._suffix
+        starts, ends = self._starts, self._ends
         n = len(starts)
-        assert len(ends) == n and len(suffix) == n
+        assert len(ends) == n
         for j in range(n):
             assert starts[j] < ends[j], f"empty window at {j}"
             if j + 1 < n:
                 assert ends[j] < starts[j + 1], f"overlap/abut at {j}"
-            expected = max(
-                (starts[k + 1] - ends[k] for k in range(j, n - 1)),
-                default=0.0,
-            )
-            assert suffix[j] == expected, f"stale suffix at {j}"
+        expected_keys: list[float] = []
+        expected_widths: list[float] = []
+        floor = 0.0
+        for j in range(n - 2, -1, -1):
+            width = starts[j + 1] - ends[j]
+            if width > floor:
+                expected_keys.append(starts[j + 1])
+                expected_widths.append(-width)
+                floor = width
+        expected_keys.reverse()
+        expected_widths.reverse()
+        assert self._record_keys == expected_keys, "stale hole record keys"
+        assert self._record_widths == expected_widths, "stale hole records"
 
 
 # ---------------------------------------------------------------------

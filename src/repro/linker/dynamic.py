@@ -100,8 +100,6 @@ class DynamicLinker:
         self.prelink = prelink
         self.trace = trace
         self.router = router
-        #: Seconds this process spent blocked on overlay staging.
-        self.staging_wait_s = 0.0
         self.resolver = SymbolResolver()
         #: Counters for reports and tests.
         self.lazy_fixups = 0
@@ -457,10 +455,7 @@ class DynamicLinker:
         if self.router is not None:
             # Collective open: block until the distribution overlay has
             # landed the image on this node (no-op for unrouted objects).
-            wait = self.router.wait_seconds(image.path, ctx.seconds)
-            if wait:
-                ctx.stall_seconds(wait)
-                self.staging_wait_s += wait
+            ctx.node.wait_staged(self.router, image.path)
         # Read ELF/program headers (the first page).
         ctx.node.read_file(image, 0, min(4096, image.size_bytes))
         obj = LoadedObject(shared_object=shared)

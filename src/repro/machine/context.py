@@ -24,14 +24,39 @@ from __future__ import annotations
 from repro.machine.node import Node, Process
 
 
-class ExecutionContext:
+class ClockContext:
+    """Charges instruction work and stalls to a node's clock.
+
+    The clock-only part of :class:`ExecutionContext`: no address space
+    and no cache hierarchy.  A rank replaying a shared compute trace
+    (:mod:`repro.core.ranktrace`) runs its MPI phase through one.
+    """
+
+    def __init__(self, node: Node) -> None:
+        self.node = node
+        self.costs = node.costs
+        self._clock = node.clock
+
+    def work(self, instructions: int | float) -> None:
+        """Execute ``instructions`` of already-cached straight-line code."""
+        self._clock.add_cycles(self.costs.instructions_to_cycles(instructions))
+
+    def stall_seconds(self, seconds: float) -> None:
+        """Block for a wall-clock duration (IO waits, launcher latency)."""
+        self._clock.add_seconds(seconds)
+
+    @property
+    def seconds(self) -> float:
+        """Current node time in seconds."""
+        return self._clock.seconds
+
+
+class ExecutionContext(ClockContext):
     """Charges a process's execution costs to its node."""
 
     def __init__(self, process: Process) -> None:
+        super().__init__(process.node)
         self.process = process
-        self.node: Node = process.node
-        self.costs = self.node.costs
-        self._clock = self.node.clock
         self._aspace = process.address_space
         # The access fast path's cached state: the hierarchy walk and
         # its L1 ports, and the page shift and resident-page set of the
@@ -46,15 +71,6 @@ class ExecutionContext:
         self.major_fault_bytes = 0
         self.minor_faults = 0
         self.major_faults = 0
-
-    # -- instruction work -------------------------------------------------
-    def work(self, instructions: int | float) -> None:
-        """Execute ``instructions`` of already-cached straight-line code."""
-        self._clock.add_cycles(self.costs.instructions_to_cycles(instructions))
-
-    def stall_seconds(self, seconds: float) -> None:
-        """Block for a wall-clock duration (IO waits, launcher latency)."""
-        self._clock.add_seconds(seconds)
 
     # -- memory accesses ---------------------------------------------------
     def _touch(self, address: int, size: int) -> None:
@@ -80,7 +96,7 @@ class ExecutionContext:
             window = max(window, page_bytes)
             image, offset, _ = fault.file_range(page_bytes)
             nbytes = min(window, image.size_bytes - offset)
-            if nbytes > 0 and self.node.buffer_cache.contains(image, offset, nbytes):
+            if nbytes > 0 and self.node.cache_contains(image, offset, nbytes):
                 # Soft fault: the file data already sit in the page cache,
                 # so servicing is just mapping the existing page.
                 self.minor_faults += 1
@@ -122,12 +138,6 @@ class ExecutionContext:
 
     #: Writes take the same write-allocate L1D path as reads.
     dwrite = dread
-
-    # -- convenience -------------------------------------------------------
-    @property
-    def seconds(self) -> float:
-        """Current node time in seconds."""
-        return self._clock.seconds
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ExecutionContext(pid={self.process.pid}, t={self.seconds:.6f}s)"

@@ -72,6 +72,26 @@ class Node:
         self.clock.add_seconds(seconds)
         return seconds
 
+    def cache_contains(self, image: FileImage, offset: int, size: int) -> bool:
+        """True if the byte range already sits in the node's page cache.
+
+        One of the three queries a rank's compute asks of the world
+        outside it (with :meth:`read_file` and :meth:`wait_staged`);
+        :mod:`repro.core.ranktrace` records and replays exactly these.
+        """
+        return self.buffer_cache.contains(image, offset, size)
+
+    def wait_staged(self, router: "Any", path: str) -> float | None:
+        """Block until ``router`` reports ``path`` locally available.
+
+        Returns the router's answer (``None`` for an unrouted path); a
+        nonzero wait advances the clock.
+        """
+        wait = router.wait_seconds(path, self.clock.seconds)
+        if wait:
+            self.clock.add_seconds(wait)
+        return wait
+
     def spawn(
         self,
         profile: OsProfile | None = None,

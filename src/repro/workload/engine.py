@@ -29,8 +29,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.core.builds import BuildImage
 from repro.core.job import JobReport, percentile
 from repro.core.multirank import MultiRankJob
+from repro.core.ranktrace import TraceStore
 from repro.errors import ConfigError
 from repro.machine.cluster import Cluster
 from repro.machine.scheduler import EventScheduler
@@ -111,6 +113,9 @@ class WorkloadEngine:
         self._estimates = dict(estimates) if estimates is not None else {}
         #: Last build key each node hosted (cache hygiene across tenants).
         self._node_key: dict[int, str] = {}
+        #: Per run: the build and the rank-trace store that the jobs of
+        #: one build key share (generated and built once per key).
+        self._shared: dict[str, tuple[BuildImage, TraceStore]] = {}
         self._stats = EventScheduler()
 
     # -- setup ----------------------------------------------------------
@@ -155,9 +160,23 @@ class WorkloadEngine:
             if self._node_key.get(index) != key:
                 cluster.nodes[index].buffer_cache.drop()
                 self._node_key[index] = key
-        job = MultiRankJob.from_scenario(tenant.scenario)
+        shared = self._shared.get(key)
+        if shared is None:
+            job = MultiRankJob.from_scenario(tenant.scenario)
+            shared = self._shared[key] = (
+                job.build_on(cluster.nfs), TraceStore()
+            )
+        else:
+            job = MultiRankJob.from_scenario(
+                tenant.scenario, spec=shared[0].spec
+            )
+        build, traces = shared
         tasks, finalize = job.launch(
-            cluster, node_indices=placement.node_indices, start_s=start_s
+            cluster,
+            node_indices=placement.node_indices,
+            start_s=start_s,
+            build=build,
+            traces=traces,
         )
         record = _ActiveJob(
             job_id=arrival.job_id,
@@ -226,6 +245,7 @@ class WorkloadEngine:
         queue = ClusterQueue(spec.n_nodes, spec.policy)
         self._stats.reset_stats()
         self._node_key = {}
+        self._shared = {}
 
         by_arrival_id: dict[int, _Arrival] = {a.job_id: a for a in arrivals}
         active: dict[int, _ActiveJob] = {}
@@ -317,6 +337,7 @@ class WorkloadEngine:
                 gc.enable()
             self._stats.steps_run += steps_run
             self._stats.tasks_completed += completed
+            self._shared = {}
 
         outcomes.sort(key=lambda outcome: outcome.job_id)
         tenants = []

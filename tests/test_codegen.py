@@ -44,6 +44,23 @@ class TestSignatures:
             seen.update(Signature.random(rng).args)
         assert seen == set(CType)
 
+    def test_random_draws_the_stream_of_the_per_argument_list(self):
+        """The draw table is built once, but each argument still draws
+        from the same sequence the old ``list(CType)`` form built per
+        argument, so generated benchmarks do not change."""
+
+        def per_argument_list(rng: SeededRng) -> Signature:
+            arity = rng.randint(0, 5)
+            return Signature(
+                args=tuple(rng.choice(list(CType)) for _ in range(arity))
+            )
+
+        for seed in (0, 7, 11):
+            fresh, reference = SeededRng(seed), SeededRng(seed)
+            for _ in range(200):
+                assert Signature.random(fresh) == per_argument_list(reference)
+            assert fresh.uniform(0.0, 1.0) == reference.uniform(0.0, 1.0)
+
 
 class TestSizeModel:
     def test_alignment(self):
