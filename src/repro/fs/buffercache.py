@@ -7,27 +7,47 @@ LRU: a read first partitions its page range into resident and missing
 pages, charges missing pages to the file's backing file system, and serves
 resident pages at memory-copy bandwidth.
 
-Internals: resident pages live in one insertion-ordered ``dict`` (oldest
-first — a plain dict is an LRU when touching re-inserts and eviction pops
-the first key), keyed by a single integer ``path_base + page_index``
-where each distinct path gets a ``path_base`` of ``id << _PAGE_BITS``.
-Integer keys matter at scale: a thousand-node cluster holds tens of
-millions of resident pages, and unlike ``(path, page)`` tuples, ints are
-invisible to the cyclic garbage collector and a page span is just a
-``range`` — no per-page allocation at all on the hot paths.
+Internals: the page-level LRU order is stored as *runs*.  A run is
+``(path, first_page, last_page)``, and the runs sit in a doubly linked
+list, oldest first; the resident pages in LRU order are the runs' pages
+concatenated.  That is exact, not an approximation: a read visits its
+pages in ascending order and each one moves to the tail, so the pages a
+read leaves behind form one ascending run.  Touching part of a run cuts
+that part out, and whatever is left of the run keeps its place.  A range
+that starts right after the tail run of the same file extends that run,
+so a file staged chunk by chunk ends up as one run.  Each file keeps its
+runs sorted by first page, and ``bisect`` over their starts finds the
+runs a range overlaps.  Eviction trims or unlinks runs at the head.
+
+At scale this matters: a node holding ~500 DLLs keeps about one run per
+file rather than one entry per 4 KiB page, which is millions of entries
+per thousand-node cluster.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
+from typing import Callable, Iterator
 
 from repro.errors import ConfigError
 from repro.fs.files import FileImage
 from repro.units import GIB
 
-#: Bits reserved for the page index inside a key (4 KiB pages -> files up
-#: to 2^40 pages = 4 PiB before path bases could collide).
-_PAGE_BITS = 40
+
+class _Run:
+    """Resident pages ``first..last`` of ``path``: a link of the LRU list."""
+
+    __slots__ = ("path", "first", "last", "prev", "next")
+
+    def __init__(self, path: "str | None", first: int, last: int) -> None:
+        self.path = path
+        self.first = first
+        self.last = last
+
+
+#: The sort key of a file's run index.
+_first_page = attrgetter("first")
 
 
 class BufferCache:
@@ -48,27 +68,15 @@ class BufferCache:
         self.page_bytes = page_bytes
         self.hit_bandwidth_bps = hit_bandwidth_bps
         self.hit_latency_s = hit_latency_s
-        # Maps (path_base + page_index) -> None in LRU order (oldest
-        # first); see the module docstring for the key scheme.
-        self._pages: dict[int, None] = {}
-        # path -> path_base (already shifted by _PAGE_BITS).
-        self._path_bases: dict[str, int] = {}
+        #: path -> its resident runs, sorted by first page.
+        self._files: dict[str, list[_Run]] = {}
+        # Sentinel of the circular LRU list: ``next`` is the oldest run,
+        # ``prev`` the newest.  Its path is None, so no range extends it.
+        self._lru = _Run(None, 0, -1)
+        self._lru.prev = self._lru.next = self._lru
+        self._resident = 0
         self.hits = 0
         self.misses = 0
-
-    def _path_base(self, path: str) -> int:
-        """The key base for ``path``, allocated on first use."""
-        bases = self._path_bases
-        base = bases.get(path)
-        if base is None:
-            base = len(bases) << _PAGE_BITS
-            bases[path] = base
-        return base
-
-    def _page_range(self, offset: int, size: int) -> range:
-        first = offset // self.page_bytes
-        last = (offset + size - 1) // self.page_bytes
-        return range(first, last + 1)
 
     def read(self, image: FileImage, offset: int = 0, size: int | None = None) -> float:
         """Read a byte range of ``image``; return the simulated seconds.
@@ -105,54 +113,15 @@ class BufferCache:
                 f"read of {offset}+{size} outside {image.path!r} "
                 f"({image.size_bytes} bytes)"
             )
-        pages = self._pages
         page_bytes = self.page_bytes
-        base = self._path_base(image.path)
         first = offset // page_bytes
         last = (offset + size - 1) // page_bytes
-        n_range = last - first + 1
-        keys = range(base + first, base + last + 1)
-        missing_pages = 0
-        if len(pages) + n_range <= self.capacity_pages:
-            # Eviction-free fast path (the overwhelmingly common case:
-            # node caches hold the whole working set): counters and LRU
-            # order come out identical to the general loop below, so
-            # this is a speedup, not a model change.  Spans that are
-            # entirely missing or entirely resident — nearly every read
-            # in practice — run at C speed.
-            contains = pages.__contains__
-            if not any(map(contains, keys)):
-                pages.update(dict.fromkeys(keys))
-                missing_pages = n_range
-            elif all(map(contains, keys)):
-                for key in keys:  # LRU touch: re-insert at the tail
-                    del pages[key]
-                    pages[key] = None
-            else:
-                for key in keys:
-                    if contains(key):
-                        del pages[key]
-                        pages[key] = None
-                    else:
-                        missing_pages += 1
-                        pages[key] = None
-            self.hits += n_range - missing_pages
-            self.misses += missing_pages
-        else:
-            for key in keys:
-                if key in pages:
-                    del pages[key]
-                    pages[key] = None
-                    self.hits += 1
-                else:
-                    self.misses += 1
-                    missing_pages += 1
-                    pages[key] = None
-                    if len(pages) > self.capacity_pages:
-                        del pages[next(iter(pages))]  # evict the oldest
+        missing_pages = self._touch(image.path, first, last)
+        self.hits += last - first + 1 - missing_pages
+        self.misses += missing_pages
         seconds = self.hit_latency_s + size / self.hit_bandwidth_bps
         if missing_pages:
-            seconds += fetch(missing_pages * self.page_bytes, 1)
+            seconds += fetch(missing_pages * page_bytes, 1)
         return seconds
 
     def install(self, image: FileImage, offset: int = 0, size: int | None = None) -> int:
@@ -173,43 +142,10 @@ class BufferCache:
                 f"install of {offset}+{size} outside {image.path!r} "
                 f"({image.size_bytes} bytes)"
             )
-        pages = self._pages
         page_bytes = self.page_bytes
-        base = self._path_base(image.path)
-        first = offset // page_bytes
-        last = (offset + size - 1) // page_bytes
-        n_range = last - first + 1
-        keys = range(base + first, base + last + 1)
-        installed = 0
-        if len(pages) + n_range <= self.capacity_pages:
-            # Eviction-free fast path; see read_with.
-            contains = pages.__contains__
-            if not any(map(contains, keys)):
-                pages.update(dict.fromkeys(keys))
-                installed = n_range
-            elif all(map(contains, keys)):
-                for key in keys:
-                    del pages[key]
-                    pages[key] = None
-            else:
-                for key in keys:
-                    if contains(key):
-                        del pages[key]
-                        pages[key] = None
-                    else:
-                        installed += 1
-                        pages[key] = None
-        else:
-            for key in keys:
-                if key in pages:
-                    del pages[key]
-                    pages[key] = None
-                    continue
-                installed += 1
-                pages[key] = None
-                if len(pages) > self.capacity_pages:
-                    del pages[next(iter(pages))]  # evict the oldest
-        return installed
+        return self._touch(
+            image.path, offset // page_bytes, (offset + size - 1) // page_bytes
+        )
 
     def contains(self, image: FileImage, offset: int = 0, size: int | None = None) -> bool:
         """True if the entire byte range is resident."""
@@ -217,24 +153,144 @@ class BufferCache:
             size = image.size_bytes - offset
         if size == 0:
             return True
-        base = self._path_bases.get(image.path)
-        if base is None:
+        runs = self._files.get(image.path)
+        if runs is None:
             return False
-        pages = self._pages
-        for page in self._page_range(offset, size):
-            if base + page not in pages:
+        first = offset // self.page_bytes
+        last = (offset + size - 1) // self.page_bytes
+        if last < first:
+            return True
+        i = bisect_right(runs, first, key=_first_page) - 1
+        if i < 0 or runs[i].last < first:
+            return False
+        # Adjacent pages may sit in different runs; follow the chain.
+        end = runs[i].last
+        while end < last:
+            i += 1
+            if i == len(runs) or runs[i].first != end + 1:
                 return False
+            end = runs[i].last
         return True
 
     def resident_bytes(self) -> int:
         """Bytes currently cached."""
-        return len(self._pages) * self.page_bytes
+        return self._resident * self.page_bytes
 
     def drop(self) -> None:
         """Evict everything — used to model a cold (first) invocation."""
-        self._pages.clear()
+        for runs in self._files.values():
+            runs.clear()
+        self._lru.prev = self._lru.next = self._lru
+        self._resident = 0
 
     def reset_counters(self) -> None:
         """Zero hit/miss statistics without evicting pages."""
         self.hits = 0
         self.misses = 0
+
+    def runs(self) -> Iterator[tuple[str, int, int]]:
+        """The resident runs as ``(path, first_page, last_page)``, oldest
+        first."""
+        lru = self._lru
+        run = lru.next
+        while run is not lru:
+            yield run.path, run.first, run.last
+            run = run.next
+
+    # -- the run list --------------------------------------------------------
+    def _touch(self, path: str, first: int, last: int) -> int:
+        """Touch pages ``first..last`` of ``path`` in ascending order, as
+        a page-at-a-time LRU does; return how many were missing.
+
+        The range is walked a segment at a time: a resident segment moves
+        to the tail, evicting nothing, and a missing segment is inserted
+        at the tail and then evicts from the head whatever overflows.
+        That can evict a resident page of this range that the walk has
+        not reached yet; it then counts as missing, as it does page by
+        page.
+        """
+        runs = self._files.get(path)
+        if runs is None:
+            runs = self._files[path] = []
+        lru = self._lru
+        missing = 0
+        page = first
+        while page <= last:
+            i = bisect_right(runs, page, key=_first_page) - 1
+            if i >= 0 and runs[i].last >= page:
+                run = runs[i]
+                end = run.last if run.last < last else last
+                if run is not lru.prev or end != run.last:
+                    i = self._cut(runs, i, run, page, end)
+                    self._append(runs, i, path, page, end)
+                # else: already the newest pages, in ascending order.
+            else:
+                i += 1
+                if i == len(runs) or runs[i].first > last:
+                    end = last
+                else:
+                    end = runs[i].first - 1
+                self._append(runs, i, path, page, end)
+                missing += end - page + 1
+                self._resident += end - page + 1
+                if self._resident > self.capacity_pages:
+                    self._evict(self._resident - self.capacity_pages)
+            page = end + 1
+        return missing
+
+    def _cut(
+        self, runs: list[_Run], i: int, run: _Run, first: int, last: int
+    ) -> int:
+        """Take pages ``first..last`` out of ``run`` (``runs[i]``); what
+        is left keeps the run's place in the LRU order.  Returns where a
+        run of the cut pages belongs in ``runs``."""
+        if run.first != first:
+            if run.last != last:
+                rest = _Run(run.path, last + 1, run.last)
+                rest.prev = run
+                rest.next = run.next
+                run.next.prev = rest
+                run.next = rest
+                runs.insert(i + 1, rest)
+            run.last = first - 1
+            return i + 1
+        if run.last == last:
+            run.prev.next = run.next
+            run.next.prev = run.prev
+            del runs[i]
+        else:
+            run.first = last + 1
+        return i
+
+    def _append(
+        self, runs: list[_Run], i: int, path: str, first: int, last: int
+    ) -> None:
+        """Make pages ``first..last`` of ``path`` (none resident) the
+        newest; ``runs[i]`` is their place in the path's index."""
+        lru = self._lru
+        tail = lru.prev
+        if tail.path == path and tail.last == first - 1:
+            tail.last = last
+            return
+        run = _Run(path, first, last)
+        run.prev = tail
+        run.next = lru
+        tail.next = lru.prev = run
+        runs.insert(i, run)
+
+    def _evict(self, n_pages: int) -> None:
+        """Evict the ``n_pages`` oldest pages."""
+        self._resident -= n_pages
+        lru = self._lru
+        while n_pages:
+            run = lru.next
+            size = run.last - run.first + 1
+            if size <= n_pages:
+                lru.next = run.next
+                run.next.prev = lru
+                runs = self._files[run.path]
+                del runs[bisect_left(runs, run.first, key=_first_page)]
+                n_pages -= size
+            else:
+                run.first += n_pages
+                n_pages = 0

@@ -127,6 +127,19 @@ class JobRegistry:
         self.emit(job, {"event": "queued", "spec_hash": spec_hash})
         return job
 
+    def create_cached(
+        self, kind: str, spec_hash: str, spec_doc: dict, result: dict
+    ) -> Job:
+        """A job answered from the warehouse: born ``done``, and never
+        indexed as active, so an in-flight job computing the same hash
+        stays the one dedup attaches to."""
+        job = Job(kind, spec_hash, spec_doc)
+        job.cached = True
+        self._jobs[job.job_id] = job
+        self.emit(job, {"event": "queued", "spec_hash": spec_hash})
+        self.finish(job, "done", result=result)
+        return job
+
     def mark_running(self, job: Job, **fields: object) -> None:
         if job.status == "queued":
             job.status = "running"

@@ -256,12 +256,10 @@ class SimulationServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await _read_request(reader)
-            if request is None:
-                return
-            method, path, body = request
             try:
-                await self._route(writer, method, path, body)
+                request = await _read_request(reader)
+                if request is not None:
+                    await self._route(writer, *request)
             except _HttpError as exc:
                 await _send_json(writer, exc.status, exc.body)
             except ConnectionError:
@@ -354,10 +352,8 @@ class SimulationServer:
         if cached is not None:
             counters["warehouse_hits"] += 1
             counters["jobs_cached"] += 1
-            job = self.registry.create(kind, spec_hash, doc)
-            job.cached = True
-            self.registry.finish(
-                job, "done", result=result_document(kind, spec_hash, cached)
+            job = self.registry.create_cached(
+                kind, spec_hash, doc, result_document(kind, spec_hash, cached)
             )
             await _send_json(
                 writer,
@@ -543,17 +539,23 @@ async def _read_request(
     if len(parts) < 2:
         return None
     method, target = parts[0].upper(), parts[1]
-    content_length = 0
+    length = "0"
     while True:
         line = await reader.readline()
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
         if name.strip().lower() == "content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError:
-                content_length = 0
+            length = value.strip()
+    # Headers are read in full first, so the error reply is the next
+    # thing the client sees.
+    if not (length.isascii() and length.isdigit()):
+        raise _HttpError(
+            HTTPStatus.BAD_REQUEST,
+            "bad-content-length",
+            f"Content-Length must be a non-negative integer, got {length!r}",
+        )
+    content_length = int(length)
     if content_length > MAX_BODY_BYTES:
         raise _HttpError(
             HTTPStatus.REQUEST_ENTITY_TOO_LARGE,
@@ -562,7 +564,10 @@ async def _read_request(
         )
     body = b""
     if content_length:
-        body = await reader.readexactly(content_length)
+        try:
+            body = await reader.readexactly(content_length)
+        except asyncio.IncompleteReadError:  # the client hung up mid-body
+            return None
     path = urlsplit(target).path
     return method, path, body
 

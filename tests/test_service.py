@@ -22,6 +22,7 @@ import concurrent.futures
 import dataclasses
 import json
 import multiprocessing
+import socket
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.results import ResultsWarehouse, resolve_warehouse_path
 from repro.scenario import scenario_preset
 from repro.scenario.spec import ScenarioSpec
 from repro.service import ServiceClient, ServiceConfig, ServiceError, running_server
+from repro.service.jobs import JobRegistry
 from repro.workload import TenantSpec, WorkloadSpec
 
 
@@ -208,6 +210,33 @@ class TestValidationAndErrors:
             client._request("GET", "/v2/everything")
         assert excinfo.value.status == 404
 
+    @pytest.mark.parametrize(
+        "length,status,error",
+        [
+            ("9437184", 413, "body-too-large"),
+            ("-5", 400, "bad-content-length"),
+            ("twelve", 400, "bad-content-length"),
+        ],
+    )
+    def test_bad_content_length_gets_an_error_reply(
+        self, service, caplog, length, status, error
+    ):
+        server, client = service
+        head = (
+            f"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        )
+        with socket.create_connection((client.host, client.port), timeout=30) as sock:
+            sock.sendall(head.encode())
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.split()[1] == str(status).encode()
+        assert json.loads(rest.partition(b"\r\n\r\n")[2])["error"] == error
+        assert client.healthz()["status"] == "ok"
+        assert "client_connected_cb" not in caplog.text
+
 
 class TestOperability:
     def test_healthz_and_presets(self, service):
@@ -295,3 +324,18 @@ class TestCli:
         expected = workload_preset("rush_hour").workload_hash
         assert main(["workload", "hash", "rush_hour"]) == 0
         assert capsys.readouterr().out.strip() == expected
+
+
+class TestRegistry:
+    def test_cached_answer_leaves_the_in_flight_job_indexed(self):
+        registry = JobRegistry()
+        cold = registry.create("scenario", "h", {})
+        registry.mark_running(cold)
+        cached = registry.create_cached("scenario", "h", {}, {"report": 1})
+        assert cached.status == "done" and cached.cached
+        assert [event["event"] for event in cached.events] == ["queued", "done"]
+        assert registry.active_for("h") is cold
+        assert registry.metrics()["jobs_running"] == 1
+        registry.finish(cold, "done", result={})
+        assert registry.active_for("h") is None
+        assert registry.metrics()["jobs_running"] == 0
