@@ -14,12 +14,23 @@ Lowering rules (how a spec becomes a simulated ELF object):
   they reference; utility libraries for libc data;
 - DT_NEEDED edges: modules need their utility libraries plus libpython
   and libc; utilities need libc.
+
+The system libraries are the same in every build: their lowering
+depends only on their :class:`SystemLibSpec` tuple, the
+:class:`SizeModel` and the :class:`HashStyle`, never on the config
+seed.  A node builds them once, not per job, and so does this module:
+:func:`_lowered_system_libs` lowers each such key once per process and
+seals the tables.  Every build gets shallow copies of those objects,
+each with its own file image on the build's filesystem, which share
+the sealed tables, their compiled bucket chains and their name hashes.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 from repro.codegen.sizes import SizeModel, SectionTotals, totals_from_objects
@@ -114,6 +125,26 @@ def _lower_system_lib(
         symtab_ratio=model.symtab_ratio,
     )
     return shared
+
+
+@lru_cache(maxsize=8)
+def _lowered_system_libs(
+    libs: tuple[SystemLibSpec, ...], model: SizeModel, hash_style: HashStyle
+) -> tuple[tuple[SharedObject, ...], LinkHashes]:
+    """The system libraries lowered once per key, with their names' map.
+
+    The tables are sealed: every build that links these libraries shares
+    them, so none may change.
+    """
+    hashes = LinkHashes()
+
+    def new_table() -> SymbolTable:
+        return SymbolTable(hash_style=hash_style, link_hashes=hashes)
+
+    objects = tuple(_lower_system_lib(lib, model, new_table) for lib in libs)
+    for shared in objects:
+        shared.symbol_table.seal()
+    return objects, hashes
 
 
 def _lower_utility(
@@ -285,16 +316,20 @@ def build_benchmark(
     """
     config = spec.config
     model: SizeModel = getattr(config, "size_model", SizeModel())
+    shared_system, system_hashes = _lowered_system_libs(
+        spec.system_libs, model, hash_style
+    )
     # Every table of this build registers its names in one map, which
-    # hashes them in one batch when the first lookup needs them.
-    name_hashes = LinkHashes()
+    # starts from the system libraries' and hashes the rest in one batch
+    # when the first lookup needs them.
+    name_hashes = LinkHashes(base=system_hashes)
 
     def new_table() -> SymbolTable:
         return SymbolTable(hash_style=hash_style, link_hashes=name_hashes)
 
+    # Per-build copies: each publishes its own file image below.
     system_objects = {
-        lib.soname: _lower_system_lib(lib, model, new_table)
-        for lib in spec.system_libs
+        shared.soname: copy.copy(shared) for shared in shared_system
     }
     utility_objects = {
         util.soname: _lower_utility(util, model, new_table)

@@ -16,11 +16,14 @@ Names are hashed where ``ld`` hashes them: at link time, once per
 build.  Every :class:`SymbolTable` of a build shares one
 :class:`LinkHashes`, which hashes all of the build's names in one batch
 (:func:`elf_hash_many` for SysV) the first time any table is probed; the
-resolver takes a defined name's hash from it.  A table's section sizes
-follow from its symbol count alone, so a build that is only sized,
-published and staged hashes nothing.  On its first probe a table
-compiles its index: per bucket, a tuple of ``(dynsym entry offset,
-dynstr offset, Symbol)``, and for GNU tables the Bloom words as ints.
+resolver takes a defined name's hash from it.  The system libraries
+are lowered once per process and shared by every build: their sealed
+tables keep a :class:`LinkHashes` of their own, which each build's map
+starts from.  A table's section sizes follow from its symbol count
+alone, so a build that is only sized, published and staged hashes
+nothing.  On its first probe a table compiles its index: per bucket, a
+tuple of ``(dynsym entry offset, dynstr offset, Symbol)``, and for GNU
+tables the Bloom words as ints.
 """
 
 from __future__ import annotations
@@ -155,17 +158,25 @@ class LinkHashes:
     build.  The build hands one of these to each of its tables, which
     register every name they define.  Names are hashed lazily, in one
     batch per style, the first time a table is indexed or a lookup asks
-    for a name; a build that never probes hashes nothing.  The map goes
-    away with its build; no two builds share one.
+    for a name; a build that never probes hashes nothing.
+
+    ``base`` is the map of the system libraries a build links against,
+    lowered once per process and shared by every build that uses them
+    (see :mod:`repro.core.builds`).  A build's map takes in the base's
+    hashes the first time it is asked for any, so a name a system
+    library defines is hashed once per process, not once per build.
+    The build's own map goes away with its build; no two builds share
+    one.
     """
 
-    __slots__ = ("_sysv", "_gnu", "_pending_sysv", "_pending_gnu")
+    __slots__ = ("_sysv", "_gnu", "_pending_sysv", "_pending_gnu", "_base")
 
-    def __init__(self) -> None:
+    def __init__(self, base: "LinkHashes | None" = None) -> None:
         self._sysv: dict[str, int] = {}
         self._gnu: dict[str, int] = {}
         self._pending_sysv: list[str] = []
         self._pending_gnu: list[str] = []
+        self._base = base
 
     def register(self, name: str, style: HashStyle) -> None:
         """Record that a table hashed in ``style`` defines ``name``."""
@@ -176,6 +187,8 @@ class LinkHashes:
 
     def sysv(self) -> dict[str, int]:
         """Every name a SysV table registered, mapped to its SysV hash."""
+        if self._base is not None:
+            self._take_base()
         if self._pending_sysv:
             names = self._new_names(self._pending_sysv, self._sysv)
             self._pending_sysv = []
@@ -184,11 +197,18 @@ class LinkHashes:
 
     def gnu(self) -> dict[str, int]:
         """Every name a GNU table registered, mapped to its GNU hash."""
+        if self._base is not None:
+            self._take_base()
         if self._pending_gnu:
             names = self._new_names(self._pending_gnu, self._gnu)
             self._pending_gnu = []
             self._gnu.update((name, gnu_hash(name)) for name in names)
         return self._gnu
+
+    def _take_base(self) -> None:
+        base, self._base = self._base, None
+        self._sysv.update(base.sysv())
+        self._gnu.update(base.gnu())
 
     @staticmethod
     def _new_names(pending: list[str], known: dict[str, int]) -> list[str]:
@@ -284,7 +304,8 @@ class SymbolTable:
     Indexing follows real ELF: symbol 0 is the reserved undefined symbol,
     so defined symbols occupy indices 1..n.  ``link_hashes`` is the
     build's :class:`LinkHashes`; a table made on its own keeps one of
-    its own.
+    its own.  A table shared by several builds is :meth:`seal`-ed: its
+    symbols, and so its compiled index, can no longer change.
     """
 
     def __init__(
@@ -306,9 +327,18 @@ class SymbolTable:
         self.bucket_chains: list[tuple[ChainEntry, ...]] | None = None
         #: GNU only: the compiled Bloom filter, one int per 64-bit word.
         self.bloom: list[int] = []
+        self._sealed = False
+
+    def seal(self) -> None:
+        """Refuse any further :meth:`add`: the table is now shared."""
+        self._sealed = True
 
     def add(self, symbol: Symbol) -> int:
         """Add a defined symbol; returns its table index (1-based)."""
+        if self._sealed:
+            raise ConfigError(
+                f"cannot add {symbol.name!r}: the symbol table is sealed"
+            )
         if symbol.name in self._by_name:
             raise ConfigError(f"duplicate symbol {symbol.name!r}")
         self._symbols.append(symbol)

@@ -9,6 +9,11 @@ job's replay log and fanned out to live SSE subscribers, so a client
 that connects late sees the full history and a client that connects
 early sees each phase as it happens.
 
+Finished jobs are kept for status and event replay, but not forever:
+the registry holds at most :data:`MAX_FINISHED_JOBS` of them and
+forgets the one that finished first when a newer one finishes (its id
+then reads as unknown).  Active jobs are never forgotten.
+
 The registry is single-threaded by construction — every mutation
 happens on the server's event loop (worker progress crosses the
 process/thread boundary via ``loop.call_soon_threadsafe``), so there
@@ -23,6 +28,8 @@ import time
 
 #: States a job can rest in; everything else is in flight.
 TERMINAL_STATES = ("done", "failed", "abandoned")
+#: Finished jobs the registry keeps; the oldest-finished goes first.
+MAX_FINISHED_JOBS = 256
 
 
 class Job:
@@ -99,6 +106,8 @@ class JobRegistry:
         self._jobs: dict[str, Job] = {}
         #: spec_hash -> the one active (non-terminal) job computing it.
         self._active: dict[str, Job] = {}
+        #: Ids of finished jobs still kept, oldest-finished first.
+        self._finished: dict[str, None] = {}
         self.counters = {
             "jobs_submitted": 0,
             "jobs_cached": 0,
@@ -168,6 +177,11 @@ class JobRegistry:
         if result is not None:
             event["result"] = result
         self.emit(job, event)
+        self._finished[job.job_id] = None
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            oldest = next(iter(self._finished))
+            del self._finished[oldest]
+            self._jobs.pop(oldest, None)
 
     def emit(self, job: Job, event: dict) -> None:
         """Append to the replay log and fan out to live subscribers."""

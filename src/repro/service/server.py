@@ -11,9 +11,11 @@ Request flow for ``POST /v1/jobs``:
    :func:`parse_spec_document` / :func:`parse_workload_document`
    entries (a bad field is a 400 with the field-naming ``ConfigError``
    message, same text the CLI prints);
-2. check the warehouse — read-only handle, so the check never queues
-   behind the writer pool — and answer a warm hash instantly with
-   ``cached: true``;
+2. check the warehouse and answer a warm hash instantly with
+   ``cached: true``.  The server keeps one read-only handle open from
+   start to stop, on a reader thread of its own (see
+   :class:`WarehouseReader`), so the check never blocks the event loop
+   and never queues behind the writer pool;
 3. otherwise dedup against the registry (an in-flight job for the same
    hash is shared, not re-simulated) or submit to the pool.
 
@@ -38,11 +40,13 @@ import contextlib
 import json
 import multiprocessing
 import os
+import sqlite3
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from http import HTTPStatus
+from typing import Callable
 from urllib.parse import unquote, urlsplit
 
 from repro.errors import ConfigError
@@ -51,6 +55,9 @@ from repro.service.worker import init_worker, result_document, run_job
 
 #: Largest request body the server will read (a spec document is KBs).
 MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Longest request line or header line (asyncio's default stream limit);
+#: a longer one is answered 431.
+MAX_LINE_BYTES = 64 * 1024
 
 #: Warehouse row namespaces (the sweep-runner function names that key
 #: scenario and workload rows).
@@ -80,6 +87,80 @@ class _HttpError(Exception):
         self.body = {"error": error, "detail": detail}
 
 
+class WarehouseReader:
+    """The server's one read-only warehouse handle, on its own thread.
+
+    ``sqlite3`` connections belong to the thread that opened them, so
+    the handle is opened, used and closed on one dedicated thread, and
+    every read runs there.  It is read-only under WAL, so it never
+    queues behind the pool's writers, and each SELECT runs in
+    autocommit, so a row a worker commits after the handle opened is
+    seen on the next read.
+
+    The handle follows the file: if the warehouse was replaced (a
+    writer quarantined an unreadable file and rebuilt it), an open
+    connection would keep reading the old, unlinked file without an
+    error, so every read first compares the file's identity with the
+    one the handle opened.  A read that raises
+    ``sqlite3.DatabaseError`` drops the handle and is retried once on a
+    fresh one.
+    """
+
+    def __init__(self, cache_dir: str) -> None:
+        from repro.results import resolve_warehouse_path
+
+        self.cache_dir = cache_dir
+        self.path = resolve_warehouse_path(cache_dir)
+        self._thread = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="serve-warehouse"
+        )
+        # Touched on the reader thread only.
+        self._warehouse = None
+        self._identity: "tuple[int, int] | None" = None
+
+    async def read(self, query: Callable[[object], object]) -> object:
+        """``query(warehouse)``, run on the reader thread."""
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(self._thread, self._read, query)
+
+    async def close(self) -> None:
+        """Close the handle on its thread, then end the thread."""
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(self._thread, self._drop)
+        self._thread.shutdown(wait=True)
+
+    def _read(self, query: Callable[[object], object]) -> object:
+        for retry in (False, True):
+            try:
+                return query(self._handle())
+            except sqlite3.DatabaseError:
+                self._drop()
+                if retry:
+                    raise
+
+    def _handle(self):
+        try:
+            stat = os.stat(self.path)
+            identity = (stat.st_dev, stat.st_ino)
+        except FileNotFoundError:
+            identity = None
+        if self._warehouse is not None and identity != self._identity:
+            self._drop()
+        if self._warehouse is None:
+            from repro.results import ResultsWarehouse
+
+            self._warehouse = ResultsWarehouse.for_cache_dir(
+                self.cache_dir, readonly=True
+            )
+            self._identity = identity
+        return self._warehouse
+
+    def _drop(self) -> None:
+        if self._warehouse is not None:
+            self._warehouse.close()
+        self._warehouse = None
+
+
 class SimulationServer:
     """One running service instance (start/stop are async)."""
 
@@ -93,6 +174,11 @@ class SimulationServer:
         self._progress_queue = None
         self._drain_thread: "threading.Thread | None" = None
         self._finishers: set[asyncio.Task] = set()
+        #: job_id -> (progress events the worker sent, the future set
+        #: once that many have been drained).
+        self._drain_waits: dict = {}
+        #: Opened in start() when there is a warehouse.
+        self._reader: "WarehouseReader | None" = None
         #: job_id -> the pool-side future (cancellable only pre-start,
         #: which is exactly the abandoned-vs-drained distinction).
         self._pool_futures: dict = {}
@@ -111,8 +197,8 @@ class SimulationServer:
         if self.config.cache_dir is not None:
             # One read-write open at startup: creates the DB, runs any
             # schema migration and absorbs legacy pickles, so the
-            # read-only per-request handles below always find a valid
-            # schema.  Closed immediately — workers open their own.
+            # server's read-only handle always finds a valid schema.
+            # Closed immediately — workers open their own.
             from repro.results import ResultsWarehouse
 
             with ResultsWarehouse.for_cache_dir(self.config.cache_dir) as wh:
@@ -128,15 +214,20 @@ class SimulationServer:
         # Fork the workers now, before the server starts any thread of
         # its own: a fork-context pool forks all of them on its first
         # submit.  Forked later, from the first cold job, a worker could
-        # inherit a lock a drain or ``asyncio.to_thread`` thread holds
+        # inherit a lock the drain or warehouse reader thread holds
         # (SQLite's, inside ``sqlite3.connect``) and block forever.
         await asyncio.wrap_future(self._pool.submit(os.getpid))
+        if self.config.cache_dir is not None:
+            self._reader = WarehouseReader(self.config.cache_dir)
         self._drain_thread = threading.Thread(
             target=self._drain_progress, name="serve-progress", daemon=True
         )
         self._drain_thread.start()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+            self._handle_connection,
+            self.config.host,
+            self.config.port,
+            limit=MAX_LINE_BYTES,
         )
         self.started_at = time.time()
 
@@ -165,6 +256,8 @@ class SimulationServer:
             self._progress_queue.put(None)  # stop the drain thread
         if self._drain_thread is not None:
             self._drain_thread.join(timeout=10)
+        if self._reader is not None:
+            await self._reader.close()
 
     # -- worker progress ---------------------------------------------------
     def _drain_progress(self) -> None:
@@ -192,6 +285,10 @@ class SimulationServer:
             self.registry.mark_running(job, **payload)
         else:
             self.registry.emit(job, {"event": event, **payload})
+        wait = self._drain_waits.get(job.job_id)
+        if wait is not None and job.worker_events >= wait[0]:
+            wait[1].set_result(None)
+            del self._drain_waits[job.job_id]
 
     async def _finish_job(self, job, future: asyncio.Future) -> None:
         counters = self.registry.counters
@@ -210,46 +307,27 @@ class SimulationServer:
         finally:
             self._pool_futures.pop(job.job_id, None)
         expected = result.pop("progress_events", 0)
-        # The result future and the progress pipe race; wait (briefly)
-        # until every progress event the worker sent has been drained,
-        # so subscribers always see progress strictly before the
-        # terminal event.
-        deadline = time.monotonic() + 5.0
-        while job.worker_events < expected and time.monotonic() < deadline:
-            await asyncio.sleep(0.005)
+        # The result future and the progress pipe race; wait (up to 5 s)
+        # until _on_worker_event has drained every progress event the
+        # worker sent, so subscribers always see progress strictly
+        # before the terminal event.
+        if job.worker_events < expected:
+            drained = asyncio.get_running_loop().create_future()
+            self._drain_waits[job.job_id] = (expected, drained)
+            try:
+                await asyncio.wait_for(drained, timeout=5.0)
+            except asyncio.TimeoutError:
+                pass
+            finally:
+                self._drain_waits.pop(job.job_id, None)
         counters["jobs_completed"] += 1
         self.registry.finish(job, "done", result=result)
 
-    # -- warehouse (read-only handles, opened per call in a thread) --------
-    def _warehouse_load(self, func_name: str, key: str) -> "object | None":
-        if self.config.cache_dir is None:
+    # -- warehouse (the one read-only handle, on its reader thread) --------
+    async def _warehouse(self, query: Callable[[object], object]) -> object:
+        if self._reader is None:
             return None
-        from repro.results import ResultsWarehouse
-
-        with ResultsWarehouse.for_cache_dir(
-            self.config.cache_dir, readonly=True
-        ) as wh:
-            return wh.load(func_name, key)
-
-    def _warehouse_result(self, spec_hash: str) -> "dict | None":
-        if self.config.cache_dir is None:
-            return None
-        from repro.results import ResultsWarehouse
-
-        with ResultsWarehouse.for_cache_dir(
-            self.config.cache_dir, readonly=True
-        ) as wh:
-            return wh.load_by_result_key(spec_hash)
-
-    def _warehouse_rows(self) -> int:
-        if self.config.cache_dir is None:
-            return 0
-        from repro.results import ResultsWarehouse
-
-        with ResultsWarehouse.for_cache_dir(
-            self.config.cache_dir, readonly=True
-        ) as wh:
-            return len(wh)
+        return await self._reader.read(query)
 
     # -- HTTP plumbing -----------------------------------------------------
     async def _handle_connection(
@@ -346,8 +424,8 @@ class SimulationServer:
             ) from exc
         counters = self.registry.counters
         doc = spec.to_dict()
-        cached = await asyncio.to_thread(
-            self._warehouse_load, func_name, spec_hash
+        cached = await self._warehouse(
+            lambda warehouse: warehouse.load(func_name, spec_hash)
         )
         if cached is not None:
             counters["warehouse_hits"] += 1
@@ -452,7 +530,9 @@ class SimulationServer:
         self, writer: asyncio.StreamWriter, spec_hash: str
     ) -> None:
         spec_hash = unquote(spec_hash).strip("/")
-        entry = await asyncio.to_thread(self._warehouse_result, spec_hash)
+        entry = await self._warehouse(
+            lambda warehouse: warehouse.load_by_result_key(spec_hash)
+        )
         if entry is None:
             raise _HttpError(
                 HTTPStatus.NOT_FOUND,
@@ -508,9 +588,7 @@ class SimulationServer:
         metrics["worker_utilization"] = (
             min(1.0, running / self.config.workers) if self.config.workers else 0.0
         )
-        metrics["warehouse_rows"] = await asyncio.to_thread(
-            self._warehouse_rows
-        )
+        metrics["warehouse_rows"] = await self._warehouse(len) or 0
         metrics["uptime_s"] = (
             time.time() - self.started_at if self.started_at else 0.0
         )
@@ -525,28 +603,73 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One line of the request head (b"" at EOF).
+
+    A line longer than :data:`MAX_LINE_BYTES` raises
+    ``asyncio.LimitOverrunError`` and is left unread.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+
+
+async def _skip_head(reader: asyncio.StreamReader) -> None:
+    """Read and drop the rest of a request head whose current line is
+    too long, through its blank line (at most :data:`MAX_BODY_BYTES`).
+
+    Closing a socket with unread input resets the connection, which can
+    destroy the error reply before the client reads it.
+    """
+    inside_line = True  # the too-long line is still unread
+    skipped = 0
+    while skipped < MAX_BODY_BYTES:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError:
+            return
+        except asyncio.LimitOverrunError as exc:
+            # ``consumed`` buffered bytes hold no line end: drop them.
+            await reader.readexactly(exc.consumed)
+            skipped += exc.consumed
+            inside_line = True
+            continue
+        if not inside_line and line in (b"\r\n", b"\n"):
+            return
+        inside_line = False
+        skipped += len(line)
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> "tuple[str, str, bytes] | None":
     """One HTTP/1.1 request as (method, path, body); None on EOF."""
     try:
-        request_line = await reader.readline()
+        request_line = await _read_line(reader)
+        if not request_line:
+            return None
+        parts = request_line.decode("latin-1").split()
+        if len(parts) < 2:
+            return None
+        method, target = parts[0].upper(), parts[1]
+        length = "0"
+        while True:
+            line = await _read_line(reader)
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            if name.strip().lower() == "content-length":
+                length = value.strip()
     except ConnectionError:
         return None
-    if not request_line:
-        return None
-    parts = request_line.decode("latin-1").split()
-    if len(parts) < 2:
-        return None
-    method, target = parts[0].upper(), parts[1]
-    length = "0"
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        if name.strip().lower() == "content-length":
-            length = value.strip()
+    except asyncio.LimitOverrunError:
+        await _skip_head(reader)
+        raise _HttpError(
+            HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+            "header-too-large",
+            f"a request line or header is longer than {MAX_LINE_BYTES} bytes",
+        ) from None
     # Headers are read in full first, so the error reply is the next
     # thing the client sees.
     if not (length.isascii() and length.isdigit()):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import repro.elf.symbols as symbols
 from repro.elf.image import Executable, SharedObject
 from repro.core import presets
-from repro.core.builds import build_benchmark
+from repro.core.builds import _lowered_system_libs, build_benchmark
 from repro.core.generator import generate
 from repro.elf.symbols import (
     HashStyle,
@@ -244,14 +244,23 @@ def test_two_builds_do_not_share_one_hash_map():
     second = build_benchmark(spec, NFSServer())
     assert first.name_hashes is not second.name_hashes
     for build in (first, second):
-        for shared in build.registry.values():
+        for shared in (build.executable, *build.generated_objects):
             assert shared.symbol_table.link_hashes is build.name_hashes
+        # The shared system libraries hash into a map of their own,
+        # which each build's map starts from.
+        system_names = {
+            symbol.name
+            for shared in build.system_objects.values()
+            for symbol in shared.symbol_table.symbols()
+        }
+        assert system_names <= build.name_hashes.sysv().keys()
 
 
 def test_building_the_scaled_dll_set_hashes_no_name(monkeypatch):
     # Section sizes follow from symbol counts; nothing is hashed until
     # the first probe, so a build that is only staged hashes nothing.
     calls = _counting(monkeypatch)
+    _lowered_system_libs.cache_clear()  # no earlier build's probes
     spec = generate(scenario_preset("llnl_multiphysics_scaled").config)
     build = build_benchmark(spec, NFSServer())
     assert len(build.generated_objects) == 495

@@ -14,24 +14,34 @@ the CLI runs) and talks to it over real HTTP with the stdlib
   simulation through the dedup registry;
 - invalid documents are rejected with field-naming ConfigError text;
 - graceful shutdown under load abandons only never-started jobs and
-  loses no committed results.
+  loses no committed results;
+- a request line or header longer than the stream limit is a 431;
+- warm reads share one long-lived read-only handle that sees rows
+  committed after it opened, follows a rebuilt warehouse file and is
+  closed by ``stop()``;
+- the registry keeps a bounded number of finished jobs.
 """
 
 import asyncio
 import concurrent.futures
+import contextlib
 import dataclasses
 import json
 import multiprocessing
+import os
 import socket
+import sqlite3
+import threading
 
 import pytest
 
 from repro.core.config import PynamicConfig
 from repro.harness.cli import build_parser, main
 from repro.results import ResultsWarehouse, resolve_warehouse_path
-from repro.scenario import scenario_preset
+from repro.scenario import scenario_preset, simulate
 from repro.scenario.spec import ScenarioSpec
 from repro.service import ServiceClient, ServiceConfig, ServiceError, running_server
+from repro.service import jobs
 from repro.service.jobs import JobRegistry
 from repro.workload import TenantSpec, WorkloadSpec
 
@@ -339,3 +349,188 @@ class TestRegistry:
         registry.finish(cold, "done", result={})
         assert registry.active_for("h") is None
         assert registry.metrics()["jobs_running"] == 0
+
+
+class TestOversizedHead:
+    @pytest.mark.parametrize(
+        "head",
+        [
+            # one 70,000-byte header line
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nX-Big: "
+            + b"a" * 70_000
+            + b"\r\n\r\n",
+            # a 70,000-byte request target
+            b"GET /v1/jobs/" + b"b" * 70_000 + b" HTTP/1.1\r\nHost: x\r\n\r\n",
+            # more than the server buffers: unread input at close would
+            # reset the connection and lose the reply
+            b"GET /healthz HTTP/1.1\r\nX-Big: "
+            + b"c" * 300_000
+            + b"\r\nX-Also-Big: "
+            + b"d" * 100_000
+            + b"\r\n\r\n",
+        ],
+        ids=["header", "target", "head-past-the-buffer"],
+    )
+    def test_line_over_the_stream_limit_is_431(self, service, head):
+        server, client = service
+        with socket.create_connection((client.host, client.port), timeout=30) as sock:
+            sock.sendall(head)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.split()[1] == b"431"
+        payload = json.loads(rest.partition(b"\r\n\r\n")[2])
+        assert payload["error"] == "header-too-large"
+        assert client.healthz()["status"] == "ok"
+
+
+class TestWarehouseReader:
+    def test_row_committed_after_the_reader_opened_is_a_warm_hit(self, service):
+        server, client = service
+        spec = _tiny_spec(seed=2024)
+        assert client.metrics()["warehouse_rows"] == 0  # the reader is open
+        simulate(spec, cache_dir=server.config.cache_dir)  # another writer
+        submitted = client.submit(spec)
+        assert submitted["cached"] is True
+        assert client.metrics()["jobs_submitted"] == 0
+
+    def test_a_replaced_warehouse_is_reopened(self, tmp_path, service):
+        server, client = service
+        first, second = _tiny_spec(seed=31), _tiny_spec(seed=32)
+        simulate(first, cache_dir=server.config.cache_dir)
+        assert client.submit(first)["cached"] is True
+        # Quarantine and rebuild underneath the server.
+        path = resolve_warehouse_path(server.config.cache_dir)
+        for suffix in ("", "-wal", "-shm"):
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path + suffix)
+        simulate(second, cache_dir=server.config.cache_dir)
+        assert client.submit(second)["cached"] is True
+        assert client.metrics()["warehouse_rows"] == 1
+
+    def test_a_database_error_reopens_the_handle_once(self, service, monkeypatch):
+        server, client = service
+        spec = _tiny_spec(seed=41)
+        simulate(spec, cache_dir=server.config.cache_dir)
+        load = ResultsWarehouse.load
+        failed = []
+
+        def load_failing_once(self, func_name, key):
+            if not failed:
+                failed.append(self)
+                raise sqlite3.DatabaseError("database disk image is malformed")
+            return load(self, func_name, key)
+
+        monkeypatch.setattr(ResultsWarehouse, "load", load_failing_once)
+        assert client.submit(spec)["cached"] is True
+        assert failed and server._reader._warehouse is not failed[0]
+
+        def load_failing(self, func_name, key):
+            failed.append(self)
+            raise sqlite3.DatabaseError("database disk image is malformed")
+
+        monkeypatch.setattr(ResultsWarehouse, "load", load_failing)
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(spec)
+        assert excinfo.value.status == 500
+        assert len(failed) == 3  # the read and one retry, no more
+
+    def test_warm_requests_share_one_connection_closed_by_stop(
+        self, tmp_path, monkeypatch
+    ):
+        specs = [_tiny_spec(seed=600 + i) for i in range(3)]
+        for spec in specs:
+            simulate(spec, cache_dir=str(tmp_path))
+        opened, closed = [], []
+        connect = sqlite3.connect
+
+        class Tracked(sqlite3.Connection):
+            def close(self):
+                closed.append(self)
+                super().close()
+
+        def counting_connect(*args, **kwargs):
+            conn = connect(*args, factory=Tracked, **kwargs)
+            opened.append(conn)
+            return conn
+
+        monkeypatch.setattr(sqlite3, "connect", counting_connect)
+        config = ServiceConfig(port=0, workers=1, cache_dir=str(tmp_path))
+        with running_server(config) as server:
+            client = ServiceClient(*server.address)
+            del opened[:]  # the start-up read-write open
+            for i in range(50):
+                spec = specs[i % len(specs)]
+                if i % 2:
+                    assert client.result(spec.spec_hash)["cached"] is True
+                else:
+                    assert client.submit(spec)["cached"] is True
+            assert len(opened) <= 1
+        assert opened and all(conn in closed for conn in opened)
+        assert not any(
+            thread.name.startswith("serve-warehouse")
+            for thread in threading.enumerate()
+        )
+
+
+class TestBoundedRegistry:
+    def test_oldest_finished_job_is_evicted_first(self, monkeypatch):
+        monkeypatch.setattr(jobs, "MAX_FINISHED_JOBS", 3)
+        registry = JobRegistry()
+        active = registry.create("scenario", "cold", {})
+        done = [
+            registry.create_cached("scenario", f"h{i}", {}, {"report": i})
+            for i in range(5)
+        ]
+        assert [registry.get(job.job_id) for job in done] == [None, None, *done[2:]]
+        assert registry.get(active.job_id) is active  # active: never evicted
+        registry.finish(active, "done", result={})
+        assert registry.get(active.job_id) is active
+        assert registry.get(done[2].job_id) is None
+        assert len(registry.jobs()) == 3
+
+    def test_evicted_id_is_unknown_and_cached_waits_find_their_job(
+        self, service, monkeypatch
+    ):
+        server, client = service
+        monkeypatch.setattr(jobs, "MAX_FINISHED_JOBS", 2)
+        spec = _tiny_spec(seed=77)
+        simulate(spec, cache_dir=server.config.cache_dir)
+        submitted, final = client.submit_and_wait(spec)
+        assert submitted["cached"] is True
+        assert final["status"] == "done" and final["job_id"] == submitted["job_id"]
+        for _ in range(2):
+            client.submit(spec)
+        with pytest.raises(ServiceError) as excinfo:
+            client.job(submitted["job_id"])
+        assert excinfo.value.status == 404
+        assert excinfo.value.payload["error"] == "unknown-job"
+
+
+class TestFinishOrdering:
+    def test_terminal_event_waits_for_progress_still_in_the_pipe(self):
+        """The result can beat the worker's progress events to the loop;
+        the job finishes as soon as the last one is drained, after it."""
+        from repro.service.server import SimulationServer
+
+        async def scenario():
+            server = SimulationServer(ServiceConfig(cache_dir=None))
+            job = server.registry.create("scenario", "h", {})
+            future = asyncio.get_running_loop().create_future()
+            future.set_result({"progress_events": 2, "report": 1})
+            finisher = asyncio.ensure_future(server._finish_job(job, future))
+            await asyncio.sleep(0.05)
+            assert not job.terminal  # still waiting for the pipe
+            for phase in ("import", "visit"):
+                server._on_worker_event(
+                    {"job_id": job.job_id, "event": "phase", "phase": phase}
+                )
+            await asyncio.wait_for(finisher, timeout=1.0)
+            return job
+
+        job = asyncio.run(scenario())
+        assert [event["event"] for event in job.events] == [
+            "queued", "phase", "phase", "done",
+        ]
+        assert job.result == {"report": 1}
