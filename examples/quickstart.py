@@ -6,8 +6,8 @@ library set once, then run the Vanilla, Link, and Link+Bind builds by
 swapping one field of the declarative spec — a Table-I style report
 shows where each build pays its dynamic-linking bill.
 
-(The pre-scenario spelling — ``run_all_modes(config)`` — still works;
-the builder below constructs the same simulations from data.)
+A spec is the only way to declare a job: every engine, sweep, cache
+entry and CLI run starts from one.
 
 Run:  PYTHONPATH=src python examples/quickstart.py
 """

@@ -84,7 +84,7 @@ def main() -> None:
 
     # 5. The contention premium: the same job run *alone* is the
     # denominator the rush-hour experiment reports against.
-    solo = MultiRankJob.from_scenario(job).run()
+    solo = MultiRankJob(job).run()
     solo_p95 = percentile(cold_start_values(solo), 95)
     burst_p95 = report.tenant("burst").startup_p95_s
     print(f"solo cold-start p95 {solo_p95:.4f}s -> "

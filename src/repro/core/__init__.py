@@ -9,7 +9,8 @@
 - :mod:`repro.core.driver` — the Pynamic driver (import-all, visit-all,
   MPI test, startup/import/visit metrics),
 - :mod:`repro.core.runner` — one-call benchmark runs on a simulated node,
-- :mod:`repro.core.job` — N-task jobs (the analytic rank-0 fast path),
+- :mod:`repro.core.job` — N-task jobs (the analytic rank-0 fast path);
+  every job is built from a :class:`repro.scenario.spec.ScenarioSpec`,
 - :mod:`repro.core.multirank` — the multi-rank discrete-event engine
   with per-rank skew, heterogeneity scenarios and the
   library-distribution overlay hook (:mod:`repro.dist`),
@@ -29,8 +30,8 @@ from repro.core.generator import generate
 from repro.core.builds import BuildImage, BuildMode, build_benchmark
 from repro.core.driver import DriverReport, PynamicDriver
 from repro.core.runner import BenchmarkRunner, RunResult
-from repro.core.job import JobReport, PynamicJob, job_size_sweep
-from repro.core.multirank import JobScenario, MultiRankJob
+from repro.core.job import JobReport, PynamicJob
+from repro.core.multirank import MultiRankJob
 from repro.dist.topology import DistributionSpec, Topology
 from repro.core import presets
 
@@ -43,7 +44,6 @@ __all__ = [
     "DriverReport",
     "FunctionSpec",
     "JobReport",
-    "JobScenario",
     "ModuleSpec",
     "MultiRankJob",
     "PynamicConfig",
@@ -55,6 +55,5 @@ __all__ = [
     "UtilitySpec",
     "build_benchmark",
     "generate",
-    "job_size_sweep",
     "presets",
 ]

@@ -17,29 +17,25 @@ full detail while charging the *shared-resource* effects of all N tasks:
 ``engine="multirank"`` instead runs every rank as its own interleaved
 simulation (:mod:`repro.core.multirank`), which is slower but lets
 contention, queueing skew and heterogeneity scenarios emerge per rank.
-The analytic path remains the validated fast mode.
+The analytic path remains the validated fast mode.  Either way the job
+is a :class:`repro.scenario.spec.ScenarioSpec`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.core.builds import BuildMode
-from repro.core.config import PynamicConfig
 from repro.core.driver import DriverReport
 from repro.core.runner import BenchmarkRunner
-from repro.core.specs import BenchmarkSpec
-from repro.elf.symbols import HashStyle
 from repro.errors import ConfigError
 from repro.faults.metrics import DegradationStats
 from repro.machine.cluster import Cluster
-from repro.machine.osprofile import OsProfile
 from repro.machine.scheduler import EngineStats
 
-#: Valid values of the ``engine`` knob.
-ENGINES = ("analytic", "multirank")
+if TYPE_CHECKING:
+    from repro.scenario.spec import ScenarioSpec
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -214,213 +210,53 @@ class JobReport:
 
 
 class PynamicJob:
-    """Run the benchmark as an N-task job on a sized cluster.
+    """Run the job a :class:`repro.scenario.spec.ScenarioSpec` declares.
 
-    The declarative spelling is a
-    :class:`repro.scenario.spec.ScenarioSpec` via :meth:`from_scenario`
-    (or the :func:`repro.scenario.simulate` entry point); the keyword
-    constructor below is the legacy spelling, kept as a thin shim —
-    kwargs are normalized into an equivalent spec (``.scenario_spec``)
-    when they are expressible as one, so both spellings share sweep
-    cache entries and produce bit-identical reports.
-
-    ``engine="analytic"`` (default) is the fast rank-0 path;
-    ``engine="multirank"`` delegates to the discrete-event engine and
-    accepts an optional :class:`repro.core.multirank.JobScenario` via
-    ``scenario`` plus an optional
-    :class:`repro.dist.topology.DistributionSpec` via ``distribution``
-    (the library-distribution overlay: cold DLL reads are staged by
-    relay daemons instead of demand-paged from NFS).  ``hash_style`` and
-    ``prelink`` reach the build and linker of either engine.
+    ``engine="analytic"`` is the fast rank-0 path below;
+    ``engine="multirank"`` hands the spec to the discrete-event engine
+    (:class:`repro.core.multirank.MultiRankJob`), which also runs its
+    heterogeneity knobs, distribution overlay and faults.  The spec
+    validated every field when it was built, so the job only reads it.
     """
 
-    @classmethod
-    def from_scenario(cls, scenario_spec: "object") -> "PynamicJob":
-        """Construct the job a :class:`ScenarioSpec` declares."""
-        job = cls(
-            config=scenario_spec.config,
-            mode=scenario_spec.mode,
-            n_tasks=scenario_spec.n_tasks,
-            cores_per_node=scenario_spec.cores_per_node,
-            warm_file_cache=scenario_spec.warm_file_cache,
-            os_profile=scenario_spec.os_profile_instance(),
-            engine=scenario_spec.engine,
-            scenario=scenario_spec.job_scenario(),
-            hash_style=scenario_spec.hash_style,
-            prelink=scenario_spec.prelink,
-            distribution=scenario_spec.distribution,
-            faults=scenario_spec.faults,
-        )
-        job.scenario_spec = scenario_spec
-        return job
-
-    def __init__(
-        self,
-        config: PynamicConfig | None = None,
-        spec: BenchmarkSpec | None = None,
-        mode: BuildMode = BuildMode.VANILLA,
-        n_tasks: int = 1,
-        cores_per_node: int = 8,
-        warm_file_cache: bool = False,
-        os_profile: OsProfile | None = None,
-        engine: str = "analytic",
-        scenario: "object | None" = None,
-        hash_style: HashStyle = HashStyle.SYSV,
-        prelink: bool = False,
-        distribution: "object | None" = None,
-        faults: "object | None" = None,
-    ) -> None:
-        if n_tasks < 1:
-            raise ConfigError(f"need at least one task, got {n_tasks}")
-        if engine not in ENGINES:
-            raise ConfigError(
-                f"unknown engine {engine!r}; choose from {ENGINES}"
-            )
-        if scenario is not None and engine != "multirank":
-            raise ConfigError("scenarios require engine='multirank'")
-        if distribution is not None and engine != "multirank":
-            raise ConfigError(
-                "distribution overlays require engine='multirank'"
-            )
-        if faults is not None and engine != "multirank":
-            raise ConfigError(
-                "faults require engine='multirank' (fault injection runs "
-                "on the discrete-event engine)"
-            )
-        self.config = config
-        self.spec = spec
-        self.mode = mode
-        self.n_tasks = n_tasks
-        self.cores_per_node = cores_per_node
-        self.warm_file_cache = warm_file_cache
-        self.os_profile = os_profile
-        self.engine = engine
-        self.scenario = scenario
-        self.hash_style = hash_style
-        self.prelink = prelink
-        self.distribution = distribution
-        self.faults = faults
-        self.n_nodes = max(1, -(-n_tasks // cores_per_node))  # ceil
-        self._scenario_spec: "object | None" = None
-        self._scenario_spec_known = False
-
-    @property
-    def scenario_spec(self) -> "object | None":
-        """The canonical declarative spelling of this job, when the
-        kwargs are expressible as one (None for jobs built from a
-        pre-generated BenchmarkSpec, custom OS profiles, or custom
-        scenario objects).  Computed lazily — jobs built via
-        :meth:`from_scenario` carry their spec directly."""
-        if not self._scenario_spec_known:
-            self._scenario_spec = self._normalized_spec()
-            self._scenario_spec_known = True
-        return self._scenario_spec
-
-    @scenario_spec.setter
-    def scenario_spec(self, value: "object | None") -> None:
-        self._scenario_spec = value
-        self._scenario_spec_known = True
-
-    def _normalized_spec(self) -> "object | None":
-        if self.config is None or self.spec is not None:
-            return None
+    def __init__(self, spec: "ScenarioSpec") -> None:
         from repro.scenario.spec import ScenarioSpec
 
-        try:
-            return ScenarioSpec.from_job_kwargs(
-                config=self.config,
-                mode=self.mode,
-                n_tasks=self.n_tasks,
-                cores_per_node=self.cores_per_node,
-                warm_file_cache=self.warm_file_cache,
-                os_profile=self.os_profile,
-                engine=self.engine,
-                scenario=self.scenario,
-                hash_style=self.hash_style,
-                prelink=self.prelink,
-                distribution=self.distribution,
-                faults=self.faults,
+        if not isinstance(spec, ScenarioSpec):
+            raise ConfigError(
+                f"spec must be a ScenarioSpec, got {type(spec).__name__}"
             )
-        except ConfigError:
-            return None
+        self.spec = spec
+        self.n_nodes = spec.n_nodes
 
     def run(self) -> JobReport:
-        """Simulate the job with the selected engine."""
-        if self.engine == "multirank":
+        """Simulate the job with the spec's engine."""
+        spec = self.spec
+        if spec.engine == "multirank":
             # Imported lazily: multirank builds on this module's JobReport.
             from repro.core.multirank import MultiRankJob
 
-            return MultiRankJob(
-                config=self.config,
-                spec=self.spec,
-                mode=self.mode,
-                n_tasks=self.n_tasks,
-                cores_per_node=self.cores_per_node,
-                warm_file_cache=self.warm_file_cache,
-                os_profile=self.os_profile,
-                scenario=self.scenario,  # type: ignore[arg-type]
-                hash_style=self.hash_style,
-                prelink=self.prelink,
-                distribution=self.distribution,  # type: ignore[arg-type]
-                faults=self.faults,  # type: ignore[arg-type]
-            ).run()
-        cluster = Cluster(n_nodes=self.n_nodes, cores_per_node=self.cores_per_node)
+            return MultiRankJob(spec).run()
+        cluster = Cluster(n_nodes=self.n_nodes, cores_per_node=spec.cores_per_node)
         # Every node's pager hits the NFS server during cold loading.
         cluster.nfs.set_concurrency(self.n_nodes)
         try:
             runner = BenchmarkRunner(
-                config=self.config,
-                spec=self.spec,
-                mode=self.mode,
+                config=spec.config,
+                mode=spec.mode,
                 cluster=cluster,
-                n_tasks=self.n_tasks,
-                warm_file_cache=self.warm_file_cache,
-                os_profile=self.os_profile,
-                hash_style=self.hash_style,
-                prelink=self.prelink,
+                n_tasks=spec.n_tasks,
+                warm_file_cache=spec.warm_file_cache,
+                os_profile=spec.os_profile_instance(),
+                hash_style=spec.hash_style,
+                prelink=spec.prelink,
             )
             result = runner.run()
         finally:
             cluster.nfs.set_concurrency(1)
         return JobReport(
-            n_tasks=self.n_tasks,
+            n_tasks=spec.n_tasks,
             n_nodes=self.n_nodes,
             rank0=result.report,
-            cold=not self.warm_file_cache,
+            cold=not spec.warm_file_cache,
         )
-
-
-def job_size_sweep(
-    config: PynamicConfig,
-    task_counts: list[int],
-    mode: BuildMode = BuildMode.VANILLA,
-    warm_file_cache: bool = False,
-    engine: str = "analytic",
-    cores_per_node: int = 8,
-    scenario: "object | None" = None,
-    hash_style: HashStyle = HashStyle.SYSV,
-    prelink: bool = False,
-    distribution: "object | None" = None,
-) -> dict[int, JobReport]:
-    """Cold job runs across task counts (the extreme-scale question).
-
-    This sequential loop is the reference implementation; use
-    :func:`repro.harness.sweep.sweep_job_reports` to fan the grid out
-    across worker processes with memoization.
-    """
-    reports: dict[int, JobReport] = {}
-    for n_tasks in task_counts:
-        job = PynamicJob(
-            config=config,
-            mode=mode,
-            n_tasks=n_tasks,
-            cores_per_node=cores_per_node,
-            warm_file_cache=warm_file_cache,
-            engine=engine,
-            scenario=scenario,
-            hash_style=hash_style,
-            prelink=prelink,
-            distribution=distribution,
-        )
-        reports[n_tasks] = job.run()
-    return reports

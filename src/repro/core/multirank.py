@@ -31,10 +31,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Generator, Sequence
+from enum import Enum
+from typing import TYPE_CHECKING, Callable, Generator, Sequence
 
 from repro.core.builds import BuildImage, BuildMode, build_benchmark
-from repro.core.config import PynamicConfig
 from repro.core.driver import DriverReport, PynamicDriver
 from repro.core.generator import generate
 from repro.core.job import JobReport
@@ -47,18 +47,15 @@ from repro.core.ranktrace import (
 )
 from repro.core.specs import BenchmarkSpec
 from repro.dist.overlay import DistributionOverlay, StagingPlan
-from repro.dist.topology import DistributionSpec
-from repro.elf.symbols import HashStyle
 from repro.errors import ConfigError, DriverError
 from repro.faults.metrics import DegradationStats
-from repro.faults.spec import FaultSpec
 from repro.fs.files import BackingFileSystem
 from repro.linker.dynamic import DynamicLinker
 from repro.machine.cluster import Cluster, ClusterSlice
 from repro.machine.context import ClockContext, ExecutionContext
 from repro.machine.costs import CostModel
 from repro.machine.node import Node, TimedReadNode
-from repro.machine.osprofile import OsProfile, linux_chaos
+from repro.machine.osprofile import OsProfile
 from repro.machine.scheduler import (
     EngineStats,
     EventScheduler,
@@ -69,6 +66,9 @@ from repro.mpi.api import MpiSession
 from repro.mpi.network import NetworkModel
 from repro.perf.timers import PhaseTimer
 from repro.rng import SeededRng
+
+if TYPE_CHECKING:
+    from repro.scenario.spec import ScenarioSpec
 
 
 def warm_node_selection(
@@ -87,10 +87,12 @@ def warm_node_selection(
 
 @dataclass(frozen=True)
 class JobScenario:
-    """Heterogeneity knobs for the multi-rank engine.
+    """The heterogeneity knobs of a job, in the form the engines read.
 
-    The default instance is perfectly homogeneous: every rank is
-    identical, so a warm job shows exactly zero inter-rank skew.
+    Built only by :meth:`repro.scenario.spec.ScenarioSpec.job_scenario`,
+    which has validated every value.  The default instance is perfectly
+    homogeneous: every rank is identical, so a warm job shows exactly
+    zero inter-rank skew.
     """
 
     #: Node indices whose cores run slower (thermal throttling, a bad
@@ -116,21 +118,6 @@ class JobScenario:
     #: the job's default profile.
     node_os_profiles: "dict[int, OsProfile] | None" = None
 
-    def __post_init__(self) -> None:
-        if self.straggler_slowdown < 1.0:
-            raise ConfigError(
-                f"straggler_slowdown must be >= 1, got {self.straggler_slowdown}"
-            )
-        if self.os_jitter_s < 0:
-            raise ConfigError(
-                f"os_jitter_s must be >= 0, got {self.os_jitter_s}"
-            )
-        if not 0.0 <= self.warm_node_fraction <= 1.0:
-            raise ConfigError(
-                f"warm_node_fraction must be in [0, 1], got "
-                f"{self.warm_node_fraction}"
-            )
-
     @property
     def is_homogeneous(self) -> bool:
         """True when no knob introduces per-rank differences."""
@@ -144,7 +131,9 @@ class JobScenario:
 
     # -- shared per-node interpretation (job engine + multirank debugger) --
     def validate_node_indices(self, n_nodes: int) -> None:
-        """Reject per-node knobs naming nodes outside an ``n_nodes`` job."""
+        """Reject per-node knobs naming nodes outside an ``n_nodes``
+        cluster (the debugger runs a spec's knobs on a cluster of its
+        own, which may be smaller than the spec's job)."""
         for index in self.straggler_nodes:
             if not 0 <= index < n_nodes:
                 raise ConfigError(
@@ -258,135 +247,100 @@ class _SteppedDriver(PynamicDriver, SteppedProgram):
         )
 
 
+class RankPlan(Enum):
+    """Which ranks a :class:`MultiRankJob` run simulated (see
+    :meth:`MultiRankJob._plan_ranks` for which collapses are exact)."""
+
+    #: Every rank simulated: a per-rank knob (launch jitter) is active,
+    #: batching is off, or no node holds two ranks to collapse.
+    EVERY_RANK = "every_rank"
+    #: A warm, homogeneous job: one rank simulated, its report
+    #: replicated to every rank (exact).
+    ONE_RANK = "one_rank"
+    #: A cold, homogeneous job: each node's first toucher plus one
+    #: cache-hit representative for its co-resident ranks (the
+    #: conservative cold-batch bound).
+    COLD_BATCH = "cold_batch"
+    #: Per-node knobs only (stragglers, warm mixes, per-node OS
+    #: profiles): each node's co-resident ranks collapse into
+    #: representatives, exact on warm nodes and the cold-batch bound
+    #: on cold ones.
+    PER_NODE = "per_node"
+
+
 class MultiRankJob:
-    """Run the benchmark as N interleaved per-rank simulations.
+    """Run a multirank :class:`ScenarioSpec` as N interleaved per-rank
+    simulations.
 
     Startup interleaves per shared object (the stepped linker), imports
-    and visits per module.  ``batch_homogeneous=True`` (default) enables
-    representative-rank fast paths:
+    and visits per module.  ``batch_homogeneous=True`` (default) lets
+    co-resident ranks in lockstep share one simulation, and
+    :attr:`rank_plan` records which collapse the last run took:
 
     - a warm, zero-heterogeneity job simulates *one* rank and replicates
-      its report (``self.batched``) — warm sweeps past 1k ranks cost a
-      single rank's simulation;
+      its report (:attr:`RankPlan.ONE_RANK`) — warm sweeps past 1k ranks
+      cost a single rank's simulation;
     - a cold, zero-heterogeneity job simulates the *first toucher* plus
       one cache-hit representative per node and replicates the latter
-      for the remaining co-resident ranks (``self.cold_batched``) — the
-      redundant buffer-cache-hit ranks that used to make >1k-rank cold
-      jobs intractable are replicated, not simulated, while every
-      node-to-NFS interaction is still played out;
+      for the remaining co-resident ranks (:attr:`RankPlan.COLD_BATCH`)
+      — every node-to-NFS interaction is still played out;
     - more generally, any job whose only active heterogeneity knobs are
       per-*node* (stragglers, warm mixes, per-node OS profiles — i.e.
       ``os_jitter_s == 0``, the one per-rank knob) coalesces each node's
       co-resident ranks into representative tasks carrying a
-      multiplicity count (``self.coalesced``); see :meth:`_plan_ranks`
-      for which collapses are exact and which approximate.
+      multiplicity count (:attr:`RankPlan.PER_NODE`).
 
-    ``distribution`` (a :class:`repro.dist.topology.DistributionSpec`)
-    stages the DLL set through the library-distribution overlay before
-    the ranks' cold reads need it: relay daemons land every image in the
-    node buffer caches on the same virtual timeline, and each rank's
-    linker blocks on the staged availability instead of demand-paging
-    from NFS.
+    ``batch_homogeneous`` is not part of the spec or its hash: it picks
+    an equivalent fast path, not a different measurement, and
+    ``batch_homogeneous=False`` is the unbatched reference.
+    ``benchmark`` is the library set already generated from the spec's
+    config, when the caller holds one (the workload engine shares one
+    per build).
 
-    Independently of those plans, the simulated ranks that share a
+    A spec's ``distribution`` stages the DLL set through the
+    library-distribution overlay before the ranks' cold reads need it:
+    relay daemons land every image in the node buffer caches on the same
+    virtual timeline, and each rank's linker blocks on the staged
+    availability instead of demand-paging from NFS.
+
+    Independently of the rank plan, the simulated ranks that share a
     :func:`~repro.core.ranktrace.trace_key` share one compute trace:
     one rank records it, the others replay it against live I/O
     (``self.n_replayed``) or rebuild and run live when they diverge
     (``self.n_rebuilt``).  This is exact, so it is always on.
     """
 
-    @classmethod
-    def from_scenario(
-        cls,
-        scenario_spec: "object",
-        batch_homogeneous: bool = True,
-        spec: BenchmarkSpec | None = None,
-    ) -> "MultiRankJob":
-        """Construct the engine run a :class:`ScenarioSpec` declares.
-
-        The legacy keyword constructor below remains as a thin shim for
-        callers that predate the scenario API; this is the declarative
-        spelling.  ``batch_homogeneous`` stays a constructor knob — it
-        selects an equivalent fast path, not a different measurement,
-        so it is not part of the spec (or its hash).  ``spec`` is the
-        benchmark already generated from the scenario's config, when the
-        caller holds one.
-        """
-        if scenario_spec.engine != "multirank":
-            raise ConfigError(
-                f"engine: MultiRankJob runs engine='multirank' specs, "
-                f"got {scenario_spec.engine!r}"
-            )
-        return cls(
-            config=scenario_spec.config,
-            spec=spec,
-            mode=scenario_spec.mode,
-            n_tasks=scenario_spec.n_tasks,
-            cores_per_node=scenario_spec.cores_per_node,
-            warm_file_cache=scenario_spec.warm_file_cache,
-            os_profile=scenario_spec.os_profile_instance(),
-            scenario=scenario_spec.job_scenario(),
-            hash_style=scenario_spec.hash_style,
-            prelink=scenario_spec.prelink,
-            batch_homogeneous=batch_homogeneous,
-            distribution=scenario_spec.distribution,
-            faults=scenario_spec.faults,
-        )
-
     def __init__(
         self,
-        config: PynamicConfig | None = None,
-        spec: BenchmarkSpec | None = None,
-        mode: BuildMode = BuildMode.VANILLA,
-        n_tasks: int = 1,
-        cores_per_node: int = 8,
-        warm_file_cache: bool = False,
-        os_profile: OsProfile | None = None,
-        scenario: JobScenario | None = None,
-        hash_style: HashStyle = HashStyle.SYSV,
-        prelink: bool = False,
+        spec: "ScenarioSpec",
+        *,
+        benchmark: BenchmarkSpec | None = None,
         batch_homogeneous: bool = True,
-        distribution: DistributionSpec | None = None,
-        faults: FaultSpec | None = None,
     ) -> None:
-        if spec is None and config is None:
-            raise ConfigError("provide a config or a pre-generated spec")
-        if n_tasks < 1:
-            raise ConfigError(f"need at least one task, got {n_tasks}")
-        if cores_per_node < 1:
-            raise ConfigError(f"need at least one core per node, got {cores_per_node}")
-        self.spec = spec if spec is not None else generate(config)  # type: ignore[arg-type]
-        self.mode = mode
-        self.n_tasks = n_tasks
-        self.cores_per_node = cores_per_node
-        self.warm_file_cache = warm_file_cache
-        self.os_profile = os_profile or linux_chaos()
-        self.scenario = scenario or JobScenario()
-        self.hash_style = hash_style
-        self.prelink = prelink
-        self.batch_homogeneous = batch_homogeneous
-        self.distribution = distribution
-        # An empty fault spec is the fault-free job (the scenario layer
-        # normalizes it away too; this covers direct constructor use).
-        if faults is not None and faults.empty:
-            faults = None
-        if faults is not None and (faults.crashes or faults.links) and (
-            distribution is None
-        ):
+        if spec.engine != "multirank":
             raise ConfigError(
-                "faults: crashes and link faults act on the distribution "
-                "overlay's relay daemons — set a distribution (brownouts "
-                "alone work without one)"
+                f"engine: MultiRankJob runs engine='multirank' specs, "
+                f"got {spec.engine!r}"
             )
-        self.faults = faults
-        #: True once :meth:`run` took the warm homogeneous fast path.
-        self.batched = False
-        #: True once :meth:`run` batched cold co-resident cache-hit ranks.
-        self.cold_batched = False
-        #: True once :meth:`run` collapsed any co-resident lockstep ranks
-        #: into a representative task with a multiplicity count (covers
-        #: the cold-batch case *and* per-node heterogeneous jobs).
-        self.coalesced = False
+        self.spec = spec
+        self.benchmark = (
+            benchmark if benchmark is not None else generate(spec.config)
+        )
+        self.mode = spec.mode
+        self.n_tasks = spec.n_tasks
+        self.cores_per_node = spec.cores_per_node
+        self.n_nodes = spec.n_nodes
+        self.warm_file_cache = spec.warm_file_cache
+        self.os_profile = spec.os_profile_instance()
+        self.scenario = spec.job_scenario()
+        self.hash_style = spec.hash_style
+        self.prelink = spec.prelink
+        self.distribution = spec.distribution
+        self.faults = spec.faults
+        self.batch_homogeneous = batch_homogeneous
+        #: How the last :meth:`launch` collapsed the job's ranks (None
+        #: before the first launch).
+        self.rank_plan: RankPlan | None = None
         #: Ranks actually driven by the last :meth:`run`.
         self.n_simulated = 0
         #: Of those, ranks that replayed a shared compute trace to the
@@ -396,8 +350,6 @@ class MultiRankJob:
         self.n_rebuilt = 0
         #: The overlay's staging plan (when a distribution ran).
         self.staging_plan: StagingPlan | None = None
-        self.n_nodes = max(1, -(-n_tasks // cores_per_node))  # ceil
-        self.scenario.validate_node_indices(self.n_nodes)
         self._drivers: dict[int, _SteppedDriver | Follower] = {}
 
     # ------------------------------------------------------------------
@@ -435,7 +387,7 @@ class MultiRankJob:
           show too).  Collapsing serializes those faults, so it bounds
           the job from above — measured 5-10% over the unbatched
           makespan on small cold jobs — which is the pre-existing
-          ``cold_batched`` default the golden pins encode.
+          :attr:`RankPlan.COLD_BATCH` default the golden pins encode.
 
         Each collapsed group is simulated once and carries its size as
         the task's multiplicity.
@@ -445,7 +397,7 @@ class MultiRankJob:
         if homogeneous and self.warm_file_cache and self.n_tasks > 1:
             # Warm fast path: all reads hit the node caches, ranks are
             # fully decoupled and identical — one representative total.
-            self.batched = True
+            self.rank_plan = RankPlan.ONE_RANK
             return [0], {rank: 0 for rank in range(self.n_tasks)}
         if self.batch_homogeneous and scenario.os_jitter_s == 0.0:
             # Per-node lockstep coalescing.  On a warm node every rank
@@ -473,17 +425,21 @@ class MultiRankJob:
                     simulated.append(hitter)
                     for rank in ranks[1:]:
                         representative[rank] = hitter
-            self.coalesced = len(simulated) < self.n_tasks
-            if homogeneous and not self.warm_file_cache:
-                self.cold_batched = self.coalesced
+            if len(simulated) == self.n_tasks:
+                self.rank_plan = RankPlan.EVERY_RANK
+            elif homogeneous and not self.warm_file_cache:
+                self.rank_plan = RankPlan.COLD_BATCH
+            else:
+                self.rank_plan = RankPlan.PER_NODE
             return simulated, representative
+        self.rank_plan = RankPlan.EVERY_RANK
         ranks = list(range(self.n_tasks))
         return ranks, {rank: rank for rank in ranks}
 
     def build_on(self, filesystem: BackingFileSystem) -> BuildImage:
         """This job's benchmark built and published on ``filesystem``."""
         return build_benchmark(
-            self.spec, filesystem, self.mode, hash_style=self.hash_style
+            self.benchmark, filesystem, self.mode, hash_style=self.hash_style
         )
 
     def _stage_distribution(
@@ -573,11 +529,8 @@ class MultiRankJob:
             traces = TraceStore()
         for image in build.images.values():
             view.file_store.add(image)
-        rng = SeededRng(getattr(self.spec.config, "seed", 0))
+        rng = SeededRng(self.benchmark.config.seed)
         self._drivers = {}
-        self.batched = False
-        self.cold_batched = False
-        self.coalesced = False
         self.n_replayed = 0
         self.n_rebuilt = 0
         # The warm-node set is drawn once (forks are pure, so the draw is
@@ -595,7 +548,9 @@ class MultiRankJob:
         # warm fast path, keeping it O(1) in the node count too.
         self._warm_caches(
             view, build, rng,
-            node_indices=[0] if self.batched else warm_nodes,
+            node_indices=(
+                [0] if self.rank_plan is RankPlan.ONE_RANK else warm_nodes
+            ),
         )
         plan = self._stage_distribution(view, build, start_s=start_s)
         self.staging_plan = plan
@@ -866,7 +821,7 @@ class MultiRankJob:
         timing, so the max over the subset is the true job max); the
         collective still runs at the full ``n_tasks`` width either way.
         """
-        if not getattr(self.spec.config, "mpi_test", False):
+        if not self.benchmark.config.mpi_test:
             return {rank: 0.0 for rank in simulated}
         finish = {
             rank: self._drivers[rank].ctx.seconds for rank in simulated

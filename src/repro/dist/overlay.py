@@ -6,7 +6,7 @@ topology, every daemon) reads each DLL image once from the source file
 system's timed reservation queue (``request_at``); relay daemons forward
 images to their overlay children over the interconnect, serializing
 sends on a per-node egress-link reservation timeline
-(:func:`repro.fs.reservation.reserve` — the same earliest-gap booking
+(:meth:`repro.fs.reservation.ReservationTimeline.reserve` — the same earliest-gap booking
 the NFS pipe uses).  Every image a daemon receives is *landed* in its
 node's disk :class:`~repro.fs.buffercache.BufferCache` (the page-cache
 copy overlaps the transfer, so landing charges no extra time), and the

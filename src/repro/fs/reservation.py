@@ -9,25 +9,15 @@ the earliest free window at or after its arrival — possibly in the
 "past" of the latest booking, which keeps the outcome independent of the
 order a coarse-grained scheduler issues requests in.
 
-Two implementations coexist:
-
-- :class:`ReservationTimeline` — the engine's hot-path structure.
-  Booking bisects on the window starts (with an O(1) tail-append fast
-  path for the overwhelmingly common in-order case), windows that abut
-  within a float epsilon merge so long cold runs cannot accumulate
-  thousands of zero-width slivers, and a maintained largest-free-gap
-  suffix lets :meth:`earliest_gap` skip regions with no fitting hole
-  instead of walking them.
-- the ``legacy_*`` functions — the original O(n)-per-op list
-  implementation, kept verbatim as the semantic reference: the
-  hypothesis property suite pins the timeline against it and the
-  ``perf/`` microbenchmarks report the speedup over it.
-
-The module-level :func:`earliest_gap`, :func:`book`, :func:`reserve` and
-:func:`reserve_ops` keep their original signatures and accept either a
-:class:`ReservationTimeline` or a plain ``list[tuple[float, float]]``
-(the fallback path, itself upgraded to bisect placement and epsilon
-merging), so every consumer works unchanged.
+:class:`ReservationTimeline` is the one implementation.  Booking
+bisects on the window starts (with an O(1) tail-append fast path for
+the overwhelmingly common in-order case), windows that abut within a
+float epsilon merge so long cold runs cannot accumulate thousands of
+zero-width slivers, and a maintained largest-free-gap suffix lets
+:meth:`~ReservationTimeline.earliest_gap` skip regions with no fitting
+hole instead of walking them.  The hypothesis property suite pins it
+against the original O(n) list scan, which lives in ``tests/`` as the
+reference.
 
 The epsilon merge is observation-free by construction: two windows only
 merge when the hole between them is at most ``merge_eps`` (default
@@ -117,8 +107,8 @@ class ReservationTimeline:
     def earliest_gap(self, arrival: float, service: float) -> float:
         """Earliest start >= ``arrival`` of a free ``service``-long hole.
 
-        Bit-identical to :func:`legacy_earliest_gap` over the same
-        windows: the fit test is the same ``begin + service <= start``
+        Bit-identical to a linear scan over the same windows (the
+        reference the property suite holds it to): the fit test is the same ``begin + service <= start``
         float comparison, and the record cut-off only prunes holes where
         that test could not succeed even under worst-case rounding (the
         threshold carries a 4-ulp guard).
@@ -228,10 +218,17 @@ class ReservationTimeline:
     def reserve_ops(
         self, arrival: float, n_ops: int, iops_limit: float | None
     ) -> float:
-        """Queueing delay before ``n_ops`` more RPCs can be accepted.
+        """Queueing delay before a server limited to ``iops_limit``
+        RPCs/s can accept ``n_ops`` more requests arriving at ``arrival``.
 
-        See :func:`reserve_ops` for the model; this is its timeline
-        method form.
+        Each RPC occupies ``1 / iops_limit`` seconds of server request
+        processing on a serial ops timeline — the saturation the
+        per-request latency alone cannot express, because latency
+        pipelines across clients without limit.  An unloaded request
+        starts immediately (delay 0), so the unloaded completion time
+        still matches the analytic model; under a storm of small reads
+        the delay grows with the backlog.  ``iops_limit=None`` disables
+        the term.
         """
         if iops_limit is None or n_ops <= 0:
             return 0.0
@@ -294,131 +291,3 @@ class ReservationTimeline:
         expected_widths.reverse()
         assert self._record_keys == expected_keys, "stale hole record keys"
         assert self._record_widths == expected_widths, "stale hole records"
-
-
-# ---------------------------------------------------------------------
-# The legacy O(n) list implementation, kept verbatim as the semantic
-# reference for the property suite and the perf baseline.
-# ---------------------------------------------------------------------
-def legacy_earliest_gap(
-    reservations: list[tuple[float, float]], arrival: float, service: float
-) -> float:
-    """Earliest start >= ``arrival`` of a free ``service``-long window."""
-    begin = arrival
-    for window_start, window_end in reservations:
-        if begin + service <= window_start:
-            return begin
-        if window_end > begin:
-            begin = window_end
-    return begin
-
-
-def legacy_book(
-    reservations: list[tuple[float, float]], begin: float, service: float
-) -> None:
-    """Insert a (begin, begin + service) window, keeping the list sorted."""
-    for index, (window_start, _) in enumerate(reservations):
-        if begin < window_start:
-            reservations.insert(index, (begin, begin + service))
-            return
-    reservations.append((begin, begin + service))
-
-
-def legacy_reserve(
-    reservations: list[tuple[float, float]], arrival: float, service: float
-) -> float:
-    """Book the earliest free window; returns its start time."""
-    begin = legacy_earliest_gap(reservations, arrival, service)
-    legacy_book(reservations, begin, service)
-    return begin
-
-
-# ---------------------------------------------------------------------
-# The stable module-level API: original signatures, either container.
-# ---------------------------------------------------------------------
-def earliest_gap(
-    reservations: "ReservationTimeline | list[tuple[float, float]]",
-    arrival: float,
-    service: float,
-) -> float:
-    """Earliest start >= ``arrival`` of a free ``service``-long window."""
-    if type(reservations) is list:
-        return legacy_earliest_gap(reservations, arrival, service)
-    return reservations.earliest_gap(arrival, service)
-
-
-def book(
-    reservations: "ReservationTimeline | list[tuple[float, float]]",
-    begin: float,
-    service: float,
-) -> None:
-    """Insert a (begin, begin + service) window, keeping windows sorted.
-
-    The plain-list fallback places with a bisect instead of the old
-    linear scan and merges a window that abuts its left neighbour within
-    ``DEFAULT_MERGE_EPS`` — same observable bookings, bounded growth.
-    """
-    if type(reservations) is not list:
-        reservations.book(begin, service)
-        return
-    end = begin + service
-    n = len(reservations)
-    if n:
-        last_start, last_end = reservations[-1]
-        if begin >= last_end:  # tail fast path
-            if begin - last_end <= DEFAULT_MERGE_EPS:
-                reservations[-1] = (last_start, end)
-            else:
-                reservations.append((begin, end))
-            return
-    index = bisect_right(reservations, (begin, float("inf")))
-    if index > 0:
-        left_start, left_end = reservations[index - 1]
-        if 0.0 <= begin - left_end <= DEFAULT_MERGE_EPS:
-            if index < n and reservations[index][0] - end <= DEFAULT_MERGE_EPS:
-                reservations[index - 1] = (left_start, reservations[index][1])
-                del reservations[index]
-            else:
-                reservations[index - 1] = (left_start, end)
-            return
-    if index < n and reservations[index][0] - end <= DEFAULT_MERGE_EPS:
-        reservations[index] = (begin, reservations[index][1])
-        return
-    reservations.insert(index, (begin, end))
-
-
-def reserve(
-    reservations: "ReservationTimeline | list[tuple[float, float]]",
-    arrival: float,
-    service: float,
-) -> float:
-    """Book the earliest free window; returns its start time."""
-    if type(reservations) is not list:
-        return reservations.reserve(arrival, service)
-    begin = legacy_earliest_gap(reservations, arrival, service)
-    book(reservations, begin, service)
-    return begin
-
-
-def reserve_ops(
-    reservations: "ReservationTimeline | list[tuple[float, float]]",
-    arrival: float,
-    n_ops: int,
-    iops_limit: float | None,
-) -> float:
-    """Queueing delay before a server limited to ``iops_limit`` RPCs/s can
-    accept ``n_ops`` more requests arriving at ``arrival``.
-
-    Each RPC occupies ``1 / iops_limit`` seconds of server request
-    processing on a serial ops timeline — the saturation the per-request
-    latency alone cannot express, because latency pipelines across
-    clients without limit.  An unloaded request starts immediately
-    (delay 0), so the unloaded completion time still matches the
-    analytic model; under a storm of small reads the delay grows with
-    the backlog.  ``iops_limit=None`` disables the term.
-    """
-    if iops_limit is None or n_ops <= 0:
-        return 0.0
-    service = n_ops / iops_limit
-    begin = reserve(reservations, arrival, service)
-    return begin - arrival

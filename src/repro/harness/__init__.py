@@ -9,7 +9,6 @@ repro.harness.cli run all`` reproduces everything in one go.
 from repro.harness.experiments import ExperimentResult, REGISTRY, register, run_experiment
 from repro.harness.sweep import (
     SweepRunner,
-    sweep_job_reports,
     sweep_mode_reports,
     sweep_scenarios,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "SweepRunner",
     "register",
     "run_experiment",
-    "sweep_job_reports",
     "sweep_mode_reports",
     "sweep_scenarios",
 ]

@@ -1,9 +1,9 @@
 """Command-line entry point: ``pynamic-repro``.
 
-The CLI is spec-driven: a job is a :class:`ScenarioSpec`, named presets
-and JSON files are the primary spelling (``--spec``), dotted ``--set``
-overrides edit any field, and the legacy per-knob flags remain as thin
-shims that build the same spec.
+The CLI is spec-driven: a job is a :class:`ScenarioSpec`, named by a
+preset or a JSON file (``--spec``), and dotted ``--set`` overrides edit
+any of its fields.  ``run``'s engine flags select the cells of the
+experiments that take them.
 
 Examples::
 
@@ -14,7 +14,7 @@ Examples::
     pynamic-repro run mitigation_scaled --cache-dir .sweep-cache --json out.json
     pynamic-repro job --spec tiny --set engine=multirank --set n_tasks=64
     pynamic-repro job --spec scenario.json --set distribution.pipelined=true
-    pynamic-repro job --tasks 64 --engine multirank --distribution binomial
+    pynamic-repro job --spec tiny --set n_tasks=64 --set distribution.topology=binomial
     pynamic-repro spec show llnl_multiphysics_scaled
     pynamic-repro spec validate scenario.json
     pynamic-repro spec schema
@@ -75,7 +75,7 @@ def _config_from_args(args: argparse.Namespace):
 
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    """Engine/distribution knobs shared by ``run`` and ``job``."""
+    """Engine/distribution knobs of ``run``'s experiments."""
     parser.add_argument(
         "--engine",
         choices=("analytic", "multirank"),
@@ -150,9 +150,10 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         "--spec",
         default=None,
         metavar="NAME_OR_PATH",
+        required=True,
         help=(
             "run a ScenarioSpec: a preset name (see `spec presets`) or a "
-            "JSON file; the per-knob flags are ignored when given"
+            "JSON file"
         ),
     )
     parser.add_argument(
@@ -243,34 +244,6 @@ def _apply_overrides(spec, assignments: list[str]):
             raise
         data["engine"] = "multirank"
         return ScenarioSpec.from_dict(data)
-
-
-def _spec_from_job_args(args: argparse.Namespace):
-    """The job subcommand's spec: ``--spec`` or the legacy-flag shim."""
-    from repro.scenario import ScenarioSpec
-
-    if args.spec is not None:
-        spec = _load_spec(args.spec)
-    else:
-        warm_fraction = args.warm_fraction
-        # Warm mixes only exist under the multi-rank engine, so a bare
-        # --warm-fraction selects it rather than crashing on the
-        # analytic default.
-        engine = args.engine or (
-            "multirank" if warm_fraction is not None else "analytic"
-        )
-        spec = ScenarioSpec(
-            config=_config_from_args(args),
-            engine=engine,
-            n_tasks=args.tasks,
-            cores_per_node=args.cores_per_node,
-            warm_file_cache=args.warm,
-            warm_fraction=warm_fraction or 0.0,
-            distribution=_distribution_from_args(args),
-        )
-    if args.overrides:
-        spec = _apply_overrides(spec, args.overrides)
-    return spec
 
 
 def _format_metric(value: object) -> str:
@@ -684,15 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
         "job", help="simulate one N-task Pynamic job and print its report"
     )
     _add_spec_arguments(job_parser)
-    _add_config_arguments(job_parser)
-    _add_engine_arguments(job_parser)
-    job_parser.add_argument("--tasks", type=int, default=8, help="MPI tasks")
-    job_parser.add_argument(
-        "--cores-per-node", type=int, default=8, help="cores per node"
-    )
-    job_parser.add_argument(
-        "--warm", action="store_true", help="start with warm buffer caches"
-    )
     job_parser.add_argument(
         "--cache-dir",
         default=None,
@@ -1043,7 +1007,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "job":
         from repro.scenario import simulate
 
-        spec = _spec_from_job_args(args)
+        # Same clean-error contract as `spec show`: a bad name, file or
+        # override prints one line, not a traceback.
+        try:
+            spec = _load_spec(args.spec)
+            if args.overrides:
+                spec = _apply_overrides(spec, args.overrides)
+        except ConfigError as exc:
+            print(f"{exc}", file=sys.stderr)
+            return 1
         print(f"spec {spec.spec_hash[:16]}", file=sys.stderr)
         profiler = None
         if args.profile is not None:

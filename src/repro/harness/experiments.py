@@ -102,7 +102,6 @@ def _import_experiments() -> None:
     from repro.harness import (  # noqa: F401
         ablations,
         costmodel_exp,
-        engine_perf,
         job_scaling,
         mitigation,
         mitigation_scaled,

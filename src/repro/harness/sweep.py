@@ -10,8 +10,8 @@ expensive.
 
 Two grid shapes cover the harness experiments:
 
-- :func:`sweep_job_reports` — N-task job runs across task counts
-  (either engine), used by ``job_scaling``;
+- :func:`sweep_scenarios` — one :class:`ScenarioSpec` per grid point
+  (either engine), used by every job-shaped study;
 - :func:`sweep_mode_reports` — all three build modes per config, used by
   the DLL-count and DLL-size scaling studies.
 
@@ -25,13 +25,9 @@ processes.  The disk layer is the SQLite results warehouse
 (:mod:`repro.results`): WAL-mode, schema-versioned,
 concurrent-writer-safe, with the full :class:`JobReport` metric
 surface stored as queryable typed columns next to the pickled payload
-(``pynamic-repro results query/diff/export``).  A ``cache_dir`` that
-still holds the old pickle-blob entries migrates into the warehouse on
-first open, bit-identically.  Scenario grids
-(:func:`sweep_scenarios`, and :func:`sweep_job_reports` which
-normalizes its legacy kwargs into specs) key on the *canonical spec
-hash* (:attr:`ScenarioSpec.spec_hash`), so the same grid point hits the
-cache no matter which API spelled it.
+(``pynamic-repro results query/diff/export``).  Scenario grids key on
+the *canonical spec hash* (:attr:`ScenarioSpec.spec_hash`), so the same
+grid point hits the cache however its spec was built.
 """
 
 from __future__ import annotations
@@ -43,42 +39,13 @@ from typing import Callable, Sequence
 from repro.core.builds import BuildMode
 from repro.core.config import PynamicConfig
 from repro.core.driver import DriverReport
-from repro.core.job import JobReport, PynamicJob
+from repro.core.job import JobReport
 from repro.core.runner import run_all_modes
-from repro.elf.symbols import HashStyle
 from repro.errors import ConfigError
 
 #: Hard cap on worker processes — grid points are coarse, so more
 #: workers than points (or than cores) only adds fork overhead.
 MAX_WORKERS = 8
-
-
-def _eval_job_point(point: tuple) -> JobReport:
-    """Evaluate one N-task job grid point (top-level for pickling)."""
-    (
-        config,
-        n_tasks,
-        mode_value,
-        warm,
-        engine,
-        cores_per_node,
-        scenario,
-        hash_style_value,
-        prelink,
-        distribution,
-    ) = point
-    return PynamicJob(
-        config=config,
-        mode=BuildMode(mode_value),
-        n_tasks=n_tasks,
-        cores_per_node=cores_per_node,
-        warm_file_cache=warm,
-        engine=engine,
-        scenario=scenario,
-        hash_style=HashStyle(hash_style_value),
-        prelink=prelink,
-        distribution=distribution,
-    ).run()
 
 
 def _eval_mode_point(point: tuple) -> dict[BuildMode, DriverReport]:
@@ -110,8 +77,9 @@ class SweepRunner:
     :mod:`repro.results`), so a fresh process (a CI run, a notebook
     restart) replays previous studies without re-simulating — and two
     concurrent processes (parallel sweeps, a CI run next to a local
-    one) can share the one warehouse safely.  Points must have stable
-    ``repr``s — true for the config/scenario dataclasses the grids use.
+    one) can share the one warehouse safely.  Points without explicit
+    ``keys`` must have stable ``repr``s — true for the config
+    dataclasses the mode grids use.
     Disk loads count as ``hits``; rows that exist but cannot be read
     back (torn payloads, schema-version mismatches) count as
     ``corrupt`` and are reported with a warning, never silently folded
@@ -139,8 +107,7 @@ class SweepRunner:
         if self.cache_dir is not None:
             from repro.results.store import ResultsWarehouse
 
-            # Opens (or creates) <cache_dir>/warehouse.sqlite3 and
-            # absorbs any legacy pickle-blob entries still in the dir.
+            # Opens (or creates) <cache_dir>/warehouse.sqlite3.
             self._warehouse = ResultsWarehouse.for_cache_dir(self.cache_dir)
         self._memo: dict[tuple[str, str], object] = {}
         self.hits = 0
@@ -278,8 +245,8 @@ def sweep_scenarios(
 
     The memo/disk key of each point is the spec's canonical sha256
     (:attr:`ScenarioSpec.spec_hash`), so a grid point is one cache
-    entry no matter how it was spelled — legacy kwargs (via
-    :func:`sweep_job_reports`), the fluent builder, or a JSON file.
+    entry no matter how it was spelled — direct construction, the
+    fluent builder, or a JSON file.
     """
     runner = runner or DEFAULT_RUNNER
     specs = list(specs)
@@ -289,69 +256,6 @@ def sweep_scenarios(
         keys=[spec.spec_hash for spec in specs],
         spec_docs=[spec.canonical_json() for spec in specs],
     )
-
-
-def sweep_job_reports(
-    config: PynamicConfig,
-    task_counts: Sequence[int],
-    mode: BuildMode = BuildMode.VANILLA,
-    warm_file_cache: bool = False,
-    engine: str = "analytic",
-    cores_per_node: int = 8,
-    scenario: "object | None" = None,
-    hash_style: HashStyle = HashStyle.SYSV,
-    prelink: bool = False,
-    distribution: "object | None" = None,
-    runner: SweepRunner | None = None,
-) -> dict[int, JobReport]:
-    """Parallel, memoized equivalent of :func:`repro.core.job.job_size_sweep`.
-
-    This is the legacy-kwarg spelling of a scenario grid: points are
-    normalized to :class:`ScenarioSpec`s and dispatched through
-    :func:`sweep_scenarios`, so the cache keys on the canonical spec
-    hash and a later spec-spelled study replays these results.  Grid
-    points that have no declarative spelling (a custom OS profile, a
-    scenario subclass) fall back to ``repr``-keyed tuple points.
-    """
-    runner = runner or DEFAULT_RUNNER
-    try:
-        from repro.scenario.spec import ScenarioSpec
-
-        specs = [
-            ScenarioSpec.from_job_kwargs(
-                config=config,
-                mode=mode,
-                n_tasks=n,
-                cores_per_node=cores_per_node,
-                warm_file_cache=warm_file_cache,
-                os_profile=None,
-                engine=engine,
-                scenario=scenario,
-                hash_style=hash_style,
-                prelink=prelink,
-                distribution=distribution,
-            )
-            for n in task_counts
-        ]
-    except ConfigError:
-        points = [
-            (
-                config,
-                n,
-                mode.value,
-                warm_file_cache,
-                engine,
-                cores_per_node,
-                scenario,
-                hash_style.value,
-                prelink,
-                distribution,
-            )
-            for n in task_counts
-        ]
-        reports = runner.map(_eval_job_point, points)
-        return dict(zip(task_counts, reports))
-    return dict(zip(task_counts, sweep_scenarios(specs, runner=runner)))
 
 
 def sweep_mode_reports(

@@ -24,7 +24,6 @@ from repro.core import presets
 from repro.core.builds import BuildImage, BuildMode, build_benchmark
 from repro.core.config import PynamicConfig
 from repro.core.generator import generate
-from repro.core.multirank import JobScenario
 from repro.harness.experiments import ExperimentResult, register
 from repro.machine.cluster import Cluster
 from repro.scenario.spec import ScenarioSpec
@@ -169,7 +168,13 @@ def debugger_multirank_rows(
     debugger = ParallelDebugger(cluster, n_tasks=n_tasks)
     runs["cold"] = debugger.startup_multirank(build, cold=True)
     runs["warm"] = debugger.startup_multirank(build, cold=False)
-    straggled = JobScenario(straggler_nodes=(1,), straggler_slowdown=2.0)
+    straggled = ScenarioSpec(
+        engine="multirank",
+        n_tasks=n_tasks,
+        cores_per_node=-(-n_tasks // n_nodes),
+        straggler_nodes=(1,),
+        straggler_slowdown=2.0,
+    ).job_scenario()
     cluster2, build2 = _table4_build(n_nodes, config)
     runs["cold+straggler"] = ParallelDebugger(
         cluster2, n_tasks=n_tasks

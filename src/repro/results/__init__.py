@@ -1,7 +1,6 @@
 """The results warehouse: SQLite-backed, schema-versioned sweep store.
 
-Replaces the silent-failure pickle disk cache behind
-:class:`repro.harness.sweep.SweepRunner` — WAL-mode, concurrent-writer
+The disk layer behind :class:`repro.harness.sweep.SweepRunner` — WAL-mode, concurrent-writer
 safe (``BEGIN IMMEDIATE``), keyed by canonical
 :attr:`~repro.scenario.spec.ScenarioSpec.spec_hash`, queryable via
 ``pynamic-repro results query/diff/export``.

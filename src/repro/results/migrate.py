@@ -1,37 +1,21 @@
-"""Schema creation/upgrade and legacy pickle-cache absorption.
+"""Schema creation and upgrade for the results warehouse.
 
-Two migrations live here:
-
-- :func:`ensure_schema` — bring a warehouse connection to the current
-  :data:`~repro.results.schema.SCHEMA_VERSION`.  Rows written by a
-  *different* version are never read: they are counted, dropped and
-  reported by the caller (the silent-failure mode of the pickle cache,
-  made structural and loud).
-- :func:`migrate_pickle_dir` — absorb a legacy ``SweepRunner``
-  ``cache_dir`` full of ``<digest>.pkl`` blobs into the warehouse on
-  first open.  Payload bytes are copied verbatim (the replayed
-  ``JobReport`` is bit-identical to what the pickle layer returned),
-  typed columns are extracted from the unpickled value, and the pickle
-  file is removed once its row is committed.  Unreadable pickles are
-  counted as corrupt and left in place for post-mortem; the
-  ``.pkl.tmp.<pid>`` files the old writer leaked on mid-write crashes
-  are swept and counted too.
+:func:`ensure_schema` brings a warehouse connection to the current
+:data:`~repro.results.schema.SCHEMA_VERSION`.  Rows written by a
+*different* version are never read: they are counted, dropped and
+reported by the caller, so a stale cache is loud rather than silently
+replayed.
 """
 
 from __future__ import annotations
 
-import glob
-import os
-import pickle
 import sqlite3
-import warnings
 
 from repro.results.schema import (
     CREATE_INDEXES,
     CREATE_META,
     CREATE_RESULTS,
     SCHEMA_VERSION,
-    extract_columns,
 )
 
 
@@ -70,108 +54,3 @@ def ensure_schema(conn: sqlite3.Connection) -> int:
         conn.rollback()
         raise
     return dropped
-
-
-def migrate_pickle_dir(store: "object", directory: str) -> tuple[int, int]:
-    """Absorb a legacy pickle cache dir into ``store`` (in place).
-
-    Returns ``(migrated, corrupt)``.  Safe to run concurrently: rows
-    are inserted with ``INSERT OR IGNORE`` inside one ``BEGIN
-    IMMEDIATE`` transaction, and a pickle file is only unlinked after
-    its row is committed, so two processes migrating the same dir
-    cannot lose an entry.
-    """
-    leaked = glob.glob(os.path.join(directory, "*.pkl.tmp.*"))
-    pickles = sorted(glob.glob(os.path.join(directory, "*.pkl")))
-    if not leaked and not pickles:
-        return (0, 0)
-    migrated = corrupt = 0
-    for path in leaked:
-        # A .tmp.<pid> file is a torn write by definition — the old
-        # writer leaked it when pickle.dump raised mid-write.
-        corrupt += 1
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-    entries = []
-    for path in pickles:
-        try:
-            with open(path, "rb") as handle:
-                payload = handle.read()
-            result = pickle.loads(payload)
-        except Exception as exc:
-            corrupt += 1
-            warnings.warn(
-                f"sweep cache migration: unreadable pickle {path} "
-                f"({type(exc).__name__}: {exc}); left in place",
-                stacklevel=3,
-            )
-            continue
-        digest = os.path.splitext(os.path.basename(path))[0]
-        entries.append((path, digest, payload, result))
-    if entries:
-        import json
-
-        from repro.results.store import _utcnow
-
-        conn = store._connect()
-        now = _utcnow()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            for _, digest, payload, result in entries:
-                columns = extract_columns(result)
-                metrics = columns.pop("metrics")
-                conn.execute(
-                    """
-                    INSERT OR IGNORE INTO results (
-                        cache_key, func, result_key, kind, payload,
-                        spec_json, engine, distribution, n_tasks, n_nodes,
-                        cold, total_s, startup_s, import_s, visit_s, mpi_s,
-                        total_p50, total_p95, total_max, total_skew_s,
-                        startup_p50, startup_p95, startup_max,
-                        startup_skew_s, staging_p50, staging_p95,
-                        staging_max, staging_skew_s, metrics_json,
-                        git_commit, created_at, updated_at
-                    ) VALUES (
-                        :cache_key, NULL, NULL, :kind, :payload, NULL,
-                        :engine, :distribution, :n_tasks, :n_nodes, :cold,
-                        :total_s, :startup_s, :import_s, :visit_s, :mpi_s,
-                        :total_p50, :total_p95, :total_max, :total_skew_s,
-                        :startup_p50, :startup_p95, :startup_max,
-                        :startup_skew_s, :staging_p50, :staging_p95,
-                        :staging_max, :staging_skew_s, :metrics_json,
-                        NULL, :created_at, :updated_at
-                    )
-                    """,
-                    {
-                        "cache_key": digest,
-                        "kind": type(result).__name__,
-                        "payload": payload,
-                        "metrics_json": json.dumps(metrics, sort_keys=True),
-                        "created_at": now,
-                        "updated_at": now,
-                        **columns,
-                    },
-                )
-            conn.commit()
-        except sqlite3.DatabaseError:
-            conn.rollback()
-            raise
-        for path, _, _, _ in entries:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        migrated = len(entries)
-    store.migrated += migrated
-    store.corrupt += corrupt
-    if migrated or corrupt:
-        warnings.warn(
-            f"sweep cache migration: absorbed {migrated} pickle entr"
-            f"{'y' if migrated == 1 else 'ies'} into {store.path}"
-            + (f"; {corrupt} corrupt entr"
-               f"{'y' if corrupt == 1 else 'ies'} counted" if corrupt else ""),
-            stacklevel=3,
-        )
-    return (migrated, corrupt)

@@ -1,11 +1,9 @@
 """The warehouse schema: one versioned table of sweep results.
 
-Every row is one evaluated grid point, keyed by the same digest the
-legacy pickle cache used for its file names —
+Every row is one evaluated grid point, keyed by
 ``sha256("<func>:<key>")`` where ``key`` is the canonical
-:attr:`~repro.scenario.spec.ScenarioSpec.spec_hash` for scenario grids
-— so a migrated pickle entry and a natively stored one are the same
-row.  The pickled result object rides along as an opaque payload (the
+:attr:`~repro.scenario.spec.ScenarioSpec.spec_hash` for scenario
+grids.  The pickled result object rides along as an opaque payload (the
 exact value the sweep runner replays, bit-identical), while the
 queryable surface is *typed columns*: engine, distribution label, task
 and node counts, the per-rank/staging phase percentiles, plus the spec
@@ -23,7 +21,7 @@ from typing import Mapping
 
 #: Bump on any breaking change to the table layout below.  Opening a
 #: warehouse written by a different version never reads its rows — they
-#: are counted, reported and dropped by the migration layer.
+#: are counted, reported and dropped (:mod:`repro.results.migrate`).
 SCHEMA_VERSION = 1
 
 #: File name of the warehouse inside a ``cache_dir``.

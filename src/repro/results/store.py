@@ -1,12 +1,9 @@
 """The results warehouse: a concurrent-writer-safe SQLite sweep store.
 
-This replaces the pickle-blob disk cache that backed
-:class:`repro.harness.sweep.SweepRunner` — a directory of anonymous
-``<digest>.pkl`` files whose loader swallowed *every* failure as a
-cache miss, so a poisoned CI cache was indistinguishable from a cold
-one.  The warehouse keeps the same keying (the digest of
-``"<func>:<key>"``, which for scenario grids is the canonical spec
-hash) but stores rows in one schema-versioned SQLite file:
+The disk layer under :class:`repro.harness.sweep.SweepRunner`.  Rows
+are keyed by the digest of ``"<func>:<key>"`` (for scenario grids the
+key is the canonical spec hash) and live in one schema-versioned SQLite
+file:
 
 - **WAL + ``BEGIN IMMEDIATE``** — parallel sweep workers, a second CI
   run and ``results query`` can share one warehouse: writers queue on
@@ -21,8 +18,8 @@ hash) but stores rows in one schema-versioned SQLite file:
   timestamps, so stored sweeps are queryable and diffable across
   commits (:mod:`repro.results.query`).
 
-A legacy pickle cache dir migrates into the warehouse on first open —
-see :mod:`repro.results.migrate`.
+Rows written by older versions may lack their ``func``/``result_key``
+metadata; :meth:`ResultsWarehouse.load` backfills it on the first hit.
 """
 
 from __future__ import annotations
@@ -51,12 +48,7 @@ from repro.results.schema import (
 
 
 def cache_key(func_name: str, key: str) -> str:
-    """The row digest for a (function, point-key) pair.
-
-    Identical to the legacy pickle layer's file-name digest, so a
-    migrated ``<digest>.pkl`` entry and a natively stored row for the
-    same grid point are one and the same.
-    """
+    """The row digest for a (function, point-key) pair."""
     return hashlib.sha256(f"{func_name}:{key}".encode()).hexdigest()
 
 
@@ -123,11 +115,9 @@ class ResultsWarehouse:
         self._conn: sqlite3.Connection | None = None
         self._pid = -1
         #: Rows that existed but could not be read back: unpicklable
-        #: payloads, torn rows, schema-version mismatches, unreadable
-        #: legacy pickles.  Never folded into cache misses.
+        #: payloads, torn rows, schema-version mismatches.  Never folded
+        #: into cache misses.
         self.corrupt = 0
-        #: Legacy pickle entries absorbed on open.
-        self.migrated = 0
         #: Rows written (inserts and overwrites).
         self.writes = 0
 
@@ -137,16 +127,9 @@ class ResultsWarehouse:
         cache_dir: "str | os.PathLike[str]",
         readonly: bool = False,
     ) -> "ResultsWarehouse":
-        """Open the warehouse for a sweep ``cache_dir``, absorbing any
-        legacy pickle entries the directory still holds (read-write
-        opens only — a read-only store never migrates or writes)."""
-        store = cls(cache_dir, readonly=readonly)
-        directory = os.path.dirname(store.path)
-        if not readonly and directory and os.path.isdir(directory):
-            from repro.results.migrate import migrate_pickle_dir
-
-            migrate_pickle_dir(store, directory)
-        return store
+        """Open the warehouse of a sweep ``cache_dir`` (or of a
+        ``.sqlite3`` file named directly)."""
+        return cls(cache_dir, readonly=readonly)
 
     # -- connection management --------------------------------------------
     def _connect(self) -> sqlite3.Connection:
@@ -160,8 +143,8 @@ class ResultsWarehouse:
         try:
             self._conn = self._open()
         except sqlite3.DatabaseError:
-            # The file exists but is not a readable database (the
-            # legacy failure mode this store exists to surface).
+            # The file exists but is not a readable database: rebuild
+            # it, and count the loss.
             self._quarantine("not a SQLite database")
             self._conn = self._open()
         return self._conn
@@ -292,8 +275,8 @@ class ResultsWarehouse:
         if result is None:
             return None
         if row["func"] is None and not self.readonly:
-            # A row absorbed from the legacy pickle cache carries no
-            # (func, key) metadata — backfill it now that we know it.
+            # A row written by an older version may carry no (func, key)
+            # metadata — backfill it now that we know it.
             self._backfill(conn, digest, func_name, key)
         return result
 

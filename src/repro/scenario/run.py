@@ -34,7 +34,7 @@ def simulate(
     if cache_dir is None and runner is None:
         from repro.core.job import PynamicJob
 
-        return PynamicJob.from_scenario(spec).run()
+        return PynamicJob(spec).run()
     from repro.harness.sweep import SweepRunner, sweep_scenarios
 
     if runner is None:

@@ -9,13 +9,14 @@ overlay and the heterogeneity knobs.  Specs round-trip through
 :meth:`to_dict`/:meth:`from_dict` (against the published JSON schema in
 :mod:`repro.scenario.schema`), and :attr:`spec_hash` is a canonical
 sha256 digest that is stable across processes — the sweep runner's disk
-cache keys on it, so the same grid point expressed through legacy job
-kwargs and through a spec shares one cache entry.
+cache keys on it, so the same grid point built directly, through the
+fluent builder or from a JSON document shares one cache entry.
 
-Construct specs directly, through the fluent
-:class:`repro.scenario.builder.Scenario` builder, or from the preset
-registry (:mod:`repro.scenario.presets`); run one with
-:func:`repro.scenario.run.simulate`.
+A spec is the only way to declare a job: construct one directly,
+through the fluent :class:`repro.scenario.builder.Scenario` builder, or
+from the preset registry (:mod:`repro.scenario.presets`); run it with
+:func:`repro.scenario.run.simulate`, :class:`repro.core.job.PynamicJob`
+or :class:`repro.core.multirank.MultiRankJob`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.codegen.sizes import SizeModel
 from repro.core.builds import BuildMode
@@ -34,6 +35,9 @@ from repro.elf.symbols import HashStyle
 from repro.errors import ConfigError
 from repro.faults.spec import FaultSpec
 from repro.machine.osprofile import OsProfile, aix32, bluegene, linux_chaos
+
+if TYPE_CHECKING:
+    from repro.core.multirank import JobScenario
 
 #: Valid values of the ``engine`` field.
 ENGINES = ("analytic", "multirank")
@@ -56,17 +60,6 @@ OS_PROFILES: dict[str, Callable[[], OsProfile]] = {
     "aix32": aix32,
     "bluegene": bluegene,
 }
-
-
-def _profile_name(profile: OsProfile) -> str:
-    """The registry name of ``profile`` (ConfigError when unregistered)."""
-    for name, factory in OS_PROFILES.items():
-        if factory() == profile:
-            return name
-    raise ConfigError(
-        f"os_profile: OS profile {profile.name!r} is not in the scenario "
-        f"registry; registered profiles: {sorted(OS_PROFILES)}"
-    )
 
 
 def _float_fields(cls: type) -> frozenset:
@@ -365,12 +358,9 @@ class ScenarioSpec:
         """The :class:`OsProfile` object the name resolves to."""
         return OS_PROFILES[self.os_profile]()
 
-    def job_scenario(self) -> "object | None":
-        """The :class:`repro.core.multirank.JobScenario` twin of the
-        heterogeneity fields (None when perfectly homogeneous, which
-        keeps spec-built jobs bit-identical to legacy-kwarg ones)."""
-        if self.is_homogeneous:
-            return None
+    def job_scenario(self) -> "JobScenario":
+        """The heterogeneity fields in the form the multirank engine and
+        the multirank debugger read."""
         from repro.core.multirank import JobScenario
 
         profiles = {
@@ -389,75 +379,6 @@ class ScenarioSpec:
     def with_(self, **changes: object) -> "ScenarioSpec":
         """A copy with ``changes`` applied (re-validated)."""
         return replace(self, **changes)  # type: ignore[arg-type]
-
-    # -- legacy-kwarg normalization ----------------------------------------
-    @classmethod
-    def from_job_kwargs(
-        cls,
-        config: PynamicConfig | None = None,
-        mode: BuildMode = BuildMode.VANILLA,
-        n_tasks: int = 1,
-        cores_per_node: int = 8,
-        warm_file_cache: bool = False,
-        os_profile: OsProfile | None = None,
-        engine: str = "analytic",
-        scenario: "object | None" = None,
-        hash_style: HashStyle = HashStyle.SYSV,
-        prelink: bool = False,
-        distribution: DistributionSpec | None = None,
-        faults: FaultSpec | None = None,
-    ) -> "ScenarioSpec":
-        """Normalize the legacy :class:`repro.core.job.PynamicJob` kwargs.
-
-        Raises :class:`ConfigError` when the kwargs are not expressible
-        as a spec — a pre-generated ``BenchmarkSpec`` instead of a
-        config, an OS profile outside the registry, or a non-standard
-        scenario object.
-        """
-        if config is None:
-            raise ConfigError(
-                "config: a ScenarioSpec needs the generator config (jobs "
-                "built from a pre-generated BenchmarkSpec have no "
-                "declarative spelling)"
-            )
-        profile_name = (
-            "linux_chaos" if os_profile is None else _profile_name(os_profile)
-        )
-        scenario_fields: dict[str, object] = {}
-        if scenario is not None:
-            from repro.core.multirank import JobScenario
-
-            if type(scenario) is not JobScenario:
-                raise ConfigError(
-                    f"scenario: only JobScenario instances have a "
-                    f"declarative spelling, got {type(scenario).__name__}"
-                )
-            profiles = scenario.node_os_profiles or {}
-            scenario_fields = {
-                "straggler_nodes": scenario.straggler_nodes,
-                "straggler_slowdown": scenario.straggler_slowdown,
-                "os_jitter_s": scenario.os_jitter_s,
-                "warm_fraction": scenario.warm_node_fraction,
-                "warm_nodes": scenario.warm_nodes,
-                "node_os_profiles": tuple(
-                    (index, _profile_name(profile))
-                    for index, profile in profiles.items()
-                ),
-            }
-        return cls(
-            config=config,
-            engine=engine,
-            mode=mode,
-            n_tasks=n_tasks,
-            cores_per_node=cores_per_node,
-            warm_file_cache=warm_file_cache,
-            os_profile=profile_name,
-            hash_style=hash_style,
-            prelink=prelink,
-            distribution=distribution,
-            faults=faults,
-            **scenario_fields,  # type: ignore[arg-type]
-        )
 
     # -- serialization ------------------------------------------------------
     def to_dict(self) -> dict:
@@ -647,8 +568,8 @@ class ScenarioSpec:
         """sha256 of the canonical JSON — stable across processes.
 
         This is the digest the sweep runner's disk cache keys on, so
-        any two spellings of the same grid point (legacy kwargs, fluent
-        builder, JSON file) land on one cache entry.
+        any two spellings of the same grid point (direct construction,
+        fluent builder, JSON file) land on one cache entry.
         """
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 

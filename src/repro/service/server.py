@@ -195,9 +195,9 @@ class SimulationServer:
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         if self.config.cache_dir is not None:
-            # One read-write open at startup: creates the DB, runs any
-            # schema migration and absorbs legacy pickles, so the
-            # server's read-only handle always finds a valid schema.
+            # One read-write open at startup: creates the DB and runs
+            # any schema upgrade, so the server's read-only handle
+            # always finds a valid schema.
             # Closed immediately — workers open their own.
             from repro.results import ResultsWarehouse
 

@@ -226,9 +226,10 @@ class ParallelDebugger:
         daemon sees only buffer-cache hits and the totals equal
         :meth:`startup`'s analytic ones.
 
-        ``scenario`` reuses the multi-rank engine's heterogeneity knobs
-        (stragglers, jitter, per-node OS profiles); ``seed`` feeds the
-        deterministic jitter draws.
+        ``scenario`` carries a spec's heterogeneity knobs (stragglers,
+        jitter, per-node OS profiles) as
+        :meth:`repro.scenario.spec.ScenarioSpec.job_scenario` returns
+        them; ``seed`` feeds the deterministic jitter draws.
         """
         scenario = scenario or JobScenario()
         if cold:

@@ -128,7 +128,7 @@ class WorkloadEngine:
             return estimates
         for tenant in self.spec.tenants:
             if tenant.name not in estimates:
-                solo = MultiRankJob.from_scenario(tenant.scenario).run()
+                solo = MultiRankJob(tenant.scenario).run()
                 estimates[tenant.name] = solo.total_max
         return estimates
 
@@ -162,14 +162,12 @@ class WorkloadEngine:
                 self._node_key[index] = key
         shared = self._shared.get(key)
         if shared is None:
-            job = MultiRankJob.from_scenario(tenant.scenario)
+            job = MultiRankJob(tenant.scenario)
             shared = self._shared[key] = (
                 job.build_on(cluster.nfs), TraceStore()
             )
         else:
-            job = MultiRankJob.from_scenario(
-                tenant.scenario, spec=shared[0].spec
-            )
+            job = MultiRankJob(tenant.scenario, benchmark=shared[0].spec)
         build, traces = shared
         tasks, finalize = job.launch(
             cluster,

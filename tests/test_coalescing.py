@@ -25,14 +25,19 @@ import pytest
 
 from repro.core import presets
 from repro.core.job import PynamicJob
-from repro.core.multirank import JobScenario, MultiRankJob
+from repro.core.multirank import MultiRankJob, RankPlan
 from repro.errors import ConfigError
 from repro.machine.scheduler import EventScheduler, RankTask
+from repro.scenario.spec import ScenarioSpec
 
 
 @pytest.fixture(scope="module")
 def small_config():
     return replace(presets.tiny(), n_modules=6, avg_functions=20)
+
+
+def _spec(config, **fields):
+    return ScenarioSpec(config=config, engine="multirank", **fields)
 
 
 def _report_fields(report):
@@ -64,29 +69,31 @@ class TestWarmNodeExactness:
         # Warm via the per-node scenario knob (not warm_file_cache), so
         # the job takes the unified coalescing branch, one
         # representative per node, rather than the warm single-rep path.
-        scenario = JobScenario(warm_nodes=(0, 1))
-        kwargs = dict(
-            config=small_config, n_tasks=8, cores_per_node=4, scenario=scenario
+        spec = _spec(
+            small_config, n_tasks=8, cores_per_node=4, warm_nodes=(0, 1)
         )
-        fast_job = MultiRankJob(**kwargs)
+        fast_job = MultiRankJob(spec)
         fast = fast_job.run()
-        slow_job = MultiRankJob(batch_homogeneous=False, **kwargs)
+        slow_job = MultiRankJob(spec, batch_homogeneous=False)
         slow = slow_job.run()
-        assert fast_job.coalesced and not fast_job.batched
+        assert fast_job.rank_plan is RankPlan.PER_NODE
+        assert slow_job.rank_plan is RankPlan.EVERY_RANK
         assert fast_job.n_simulated == 2 and slow_job.n_simulated == 8
         assert _report_fields(fast) == _report_fields(slow)
 
     def test_warm_straggler_node_stays_exact(self, small_config):
-        scenario = JobScenario(
-            warm_nodes=(0, 1), straggler_nodes=(0,), straggler_slowdown=2.0
+        spec = _spec(
+            small_config,
+            n_tasks=8,
+            cores_per_node=4,
+            warm_nodes=(0, 1),
+            straggler_nodes=(0,),
+            straggler_slowdown=2.0,
         )
-        kwargs = dict(
-            config=small_config, n_tasks=8, cores_per_node=4, scenario=scenario
-        )
-        fast_job = MultiRankJob(**kwargs)
+        fast_job = MultiRankJob(spec)
         fast = fast_job.run()
-        slow = MultiRankJob(batch_homogeneous=False, **kwargs).run()
-        assert fast_job.coalesced
+        slow = MultiRankJob(spec, batch_homogeneous=False).run()
+        assert fast_job.rank_plan is RankPlan.PER_NODE
         assert _report_fields(fast) == _report_fields(slow)
         # The throttled node really is slower than its peer.
         assert fast.per_rank[0].import_s > fast.per_rank[4].import_s
@@ -96,16 +103,13 @@ class TestColdApproximation:
     """Cold collapses bound the unbatched job from above, tightly."""
 
     def test_cold_coalescing_is_a_tight_upper_bound(self, small_config):
-        fast = MultiRankJob(config=small_config, n_tasks=8, cores_per_node=4)
+        spec = _spec(small_config, n_tasks=8, cores_per_node=4)
+        fast = MultiRankJob(spec)
         fast_report = fast.run()
-        slow = MultiRankJob(
-            config=small_config,
-            n_tasks=8,
-            cores_per_node=4,
-            batch_homogeneous=False,
-        )
+        slow = MultiRankJob(spec, batch_homogeneous=False)
         slow_report = slow.run()
-        assert fast.coalesced and not slow.coalesced
+        assert fast.rank_plan is RankPlan.COLD_BATCH
+        assert slow.rank_plan is RankPlan.EVERY_RANK
         assert fast.n_simulated == 4 and slow.n_simulated == 8
         # Serializing every fault onto the toucher can only slow the
         # job down, and the measured gap stays small (~5-10%).
@@ -113,14 +117,11 @@ class TestColdApproximation:
         assert _makespan(fast_report) <= 1.2 * _makespan(slow_report)
 
     def test_warm_cold_mix_bound_and_warm_node_hits(self, small_config):
-        scenario = JobScenario(warm_nodes=(1,))
-        kwargs = dict(
-            config=small_config, n_tasks=12, cores_per_node=4, scenario=scenario
-        )
-        fast_job = MultiRankJob(**kwargs)
+        spec = _spec(small_config, n_tasks=12, cores_per_node=4, warm_nodes=(1,))
+        fast_job = MultiRankJob(spec)
         fast = fast_job.run()
-        slow = MultiRankJob(batch_homogeneous=False, **kwargs).run()
-        assert fast_job.coalesced
+        slow = MultiRankJob(spec, batch_homogeneous=False).run()
+        assert fast_job.rank_plan is RankPlan.PER_NODE
         # Cold nodes simulate toucher + hitter, the warm node one rep.
         assert fast_job.n_simulated == 5
         assert _makespan(fast) >= _makespan(slow)
@@ -133,13 +134,10 @@ class TestColdApproximation:
 
     def test_jitter_disables_coalescing(self, small_config):
         job = MultiRankJob(
-            config=small_config,
-            n_tasks=8,
-            cores_per_node=4,
-            scenario=JobScenario(os_jitter_s=0.01),
+            _spec(small_config, n_tasks=8, cores_per_node=4, os_jitter_s=0.01)
         )
         job.run()
-        assert not job.coalesced
+        assert job.rank_plan is RankPlan.EVERY_RANK
         assert job.n_simulated == 8
 
 
@@ -147,7 +145,7 @@ class TestEngineStats:
     """The JobReport exposes what the engine actually stepped."""
 
     def test_multirank_report_carries_stats(self, small_config):
-        job = MultiRankJob(config=small_config, n_tasks=8, cores_per_node=4)
+        job = MultiRankJob(_spec(small_config, n_tasks=8, cores_per_node=4))
         report = job.run()
         stats = report.engine_stats
         assert stats is not None
@@ -160,8 +158,21 @@ class TestEngineStats:
         assert stats.nfs_timeline_bookings >= stats.nfs_timeline_windows
         assert stats.nfs_timeline_bookings > 0
 
+    def test_cold_eight_ranks_on_four_core_nodes_step_four(self):
+        # Each cold node steps its first toucher and one cache-hit
+        # representative, so half of the 8 ranks ride multiplicity.
+        spec = ScenarioSpec(
+            config=presets.tiny(), engine="multirank", n_tasks=8,
+            cores_per_node=4,
+        )
+        job = MultiRankJob(spec)
+        stats = job.run().engine_stats
+        assert job.rank_plan is RankPlan.COLD_BATCH
+        assert stats.ranks_simulated == 4
+        assert stats.ranks_coalesced == 4
+
     def test_analytic_report_has_no_stats(self, small_config):
-        report = PynamicJob(config=small_config).run()
+        report = PynamicJob(ScenarioSpec(config=small_config)).run()
         assert report.engine_stats is None
 
 

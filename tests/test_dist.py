@@ -10,7 +10,7 @@ from repro.core import presets
 from repro.core.builds import BuildMode, build_benchmark
 from repro.core.generator import generate
 from repro.core.job import PynamicJob
-from repro.core.multirank import JobScenario, MultiRankJob
+from repro.core.multirank import MultiRankJob, RankPlan
 from repro.dist import (
     DistributionOverlay,
     DistributionSpec,
@@ -24,6 +24,7 @@ from repro.fs.nfs import NFSServer
 from repro.fs.staging import StagingStrategy, staging_seconds
 from repro.harness.experiments import run_experiment
 from repro.machine.cluster import Cluster
+from repro.scenario.spec import ScenarioSpec
 
 
 @pytest.fixture(scope="module")
@@ -315,12 +316,13 @@ class TestRouter:
 class TestJobIntegration:
     """The overlay wired end-to-end through PynamicJob/MultiRankJob."""
 
-    def _run(self, config, **kwargs):
-        return PynamicJob(config=config, engine="multirank", **kwargs).run()
+    def _run(self, config, **fields):
+        spec = ScenarioSpec(config=config, engine="multirank", **fields)
+        return PynamicJob(spec).run()
 
     def test_distribution_requires_multirank(self, small_config):
         with pytest.raises(ConfigError):
-            PynamicJob(
+            ScenarioSpec(
                 config=small_config,
                 engine="analytic",
                 distribution=DistributionSpec(),
@@ -402,56 +404,54 @@ class TestJobIntegration:
         assert report.staging_skew_s == 0.0
 
 
+def _multirank(config, batch_homogeneous=True, **fields):
+    spec = ScenarioSpec(config=config, engine="multirank", **fields)
+    return MultiRankJob(spec, batch_homogeneous=batch_homogeneous)
+
+
 class TestColdBatching:
     """Cold homogeneous jobs batch co-resident cache-hit ranks."""
 
     def test_cold_batching_bookkeeping(self, small_config):
-        job = MultiRankJob(config=small_config, n_tasks=64)  # 8 nodes x 8
+        job = _multirank(small_config, n_tasks=64)  # 8 nodes x 8
         report = job.run()
-        assert job.cold_batched
-        assert not job.batched
+        assert job.rank_plan is RankPlan.COLD_BATCH
         assert job.n_simulated == 16  # toucher + hitter per node
         assert len(report.per_rank) == 64
 
     def test_cold_batching_replicates_hitters(self, small_config):
-        job = MultiRankJob(config=small_config, n_tasks=8)  # one node
+        job = _multirank(small_config, n_tasks=8)  # one node
         report = job.run()
-        assert job.cold_batched
+        assert job.rank_plan is RankPlan.COLD_BATCH
         assert job.n_simulated == 2
         toucher, hitters = report.per_rank[0], report.per_rank[1:]
         assert all(h is hitters[0] for h in hitters)  # shared instance
         assert toucher.import_s > hitters[0].import_s
 
     def test_single_rank_per_node_never_batches(self, small_config):
-        job = MultiRankJob(config=small_config, n_tasks=4, cores_per_node=1)
+        job = _multirank(small_config, n_tasks=4, cores_per_node=1)
         job.run()
-        assert not job.cold_batched
+        assert job.rank_plan is RankPlan.EVERY_RANK
         assert job.n_simulated == 4
 
     def test_heterogeneous_cold_jobs_never_batch(self, small_config):
-        job = MultiRankJob(
-            config=small_config,
-            n_tasks=8,
-            scenario=JobScenario(os_jitter_s=0.01),
-        )
+        job = _multirank(small_config, n_tasks=8, os_jitter_s=0.01)
         job.run()
-        assert not job.cold_batched
+        assert job.rank_plan is RankPlan.EVERY_RANK
         assert job.n_simulated == 8
 
     def test_batching_can_be_disabled(self, small_config):
-        job = MultiRankJob(
-            config=small_config, n_tasks=8, batch_homogeneous=False
-        )
+        job = _multirank(small_config, n_tasks=8, batch_homogeneous=False)
         job.run()
-        assert not job.cold_batched
+        assert job.rank_plan is RankPlan.EVERY_RANK
         assert job.n_simulated == 8
 
     def test_batched_cold_jobs_keep_the_contention_structure(
         self, small_config
     ):
-        batched = MultiRankJob(config=small_config, n_tasks=16)
+        batched = _multirank(small_config, n_tasks=16)
         report = batched.run()
-        assert batched.cold_batched
+        assert batched.rank_plan is RankPlan.COLD_BATCH
         # Still one first-toucher per node paying NFS, hitters riding
         # the shared cache, nonzero skew across the job.
         assert report.import_skew_s > 0.0

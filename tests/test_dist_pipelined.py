@@ -16,7 +16,6 @@ from repro.core import presets
 from repro.core.builds import BuildMode, build_benchmark
 from repro.core.generator import generate
 from repro.core.job import PynamicJob
-from repro.core.multirank import JobScenario
 from repro.dist import (
     DistributionOverlay,
     DistributionSpec,
@@ -34,6 +33,7 @@ from repro.fs.staging import (
 from repro.harness.experiments import run_experiment
 from repro.machine.cluster import Cluster
 from repro.mpi.network import NetworkModel
+from repro.scenario.spec import ScenarioSpec
 
 
 @pytest.fixture(scope="module")
@@ -450,18 +450,13 @@ class TestCacheAwareRelays:
 
 
 class TestJobLevelWarmMix:
-    def _run(self, config, **kwargs):
-        return PynamicJob(config=config, engine="multirank", **kwargs).run()
+    def _run(self, config, **fields):
+        spec = ScenarioSpec(config=config, engine="multirank", **fields)
+        return PynamicJob(spec).run()
 
     def test_scenario_warm_nodes_validated(self, small_config):
-        with pytest.raises(ConfigError):
-            PynamicJob(
-                config=small_config,
-                engine="multirank",
-                n_tasks=4,
-                cores_per_node=1,
-                scenario=JobScenario(warm_nodes=(9,)),
-            ).run()
+        with pytest.raises(ConfigError, match="warm_nodes"):
+            self._run(small_config, n_tasks=4, cores_per_node=1, warm_nodes=(9,))
 
     def test_warm_interior_node_improves_job_staging(self, small_config):
         dist = DistributionSpec(pipelined=True, chunk_bytes=65536)
@@ -473,7 +468,7 @@ class TestJobLevelWarmMix:
             n_tasks=8,
             cores_per_node=1,
             distribution=dist,
-            scenario=JobScenario(warm_nodes=(1,)),
+            warm_nodes=(1,),
         )
         assert warm.staging_p95 < cold.staging_p95
         assert warm.staging_max <= cold.staging_max
@@ -484,7 +479,7 @@ class TestJobLevelWarmMix:
             n_tasks=8,
             cores_per_node=1,
             distribution=DistributionSpec(pipelined=True, chunk_bytes=65536),
-            scenario=JobScenario(warm_node_fraction=1.0),
+            warm_fraction=1.0,
         )
         assert report.staging_per_node is not None
         assert report.staging_max == 0.0

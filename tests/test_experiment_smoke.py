@@ -25,7 +25,6 @@ EXPECTED_EXPERIMENTS = (
     "ablation_prelink",
     "ablation_randomization",
     "costmodel",
-    "engine_perf",
     "job_scaling",
     "mitigation",
     "mitigation_scaled",

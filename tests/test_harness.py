@@ -108,28 +108,26 @@ class TestCli:
         assert "costmodel" in payload
         assert payload["costmodel"]["metrics"]["minutes_with_reinsertion"] > 0
 
+    #: A small library set and a 4-node binomial overlay, as --set edits.
+    SMALL = [
+        "--spec", "tiny",
+        "--set", "config.n_modules=3", "--set", "config.n_utilities=2",
+        "--set", "config.avg_functions=8",
+    ]
+    OVERLAY = [
+        "--set", "n_tasks=4", "--set", "cores_per_node=1",
+        "--set", "engine=multirank", "--set", "distribution.topology=binomial",
+    ]
+
     def test_job_command_with_distribution(self, capsys):
-        assert main(
-            [
-                "job",
-                "--modules", "3", "--utilities", "2", "--avg-functions", "8",
-                "--tasks", "4", "--cores-per-node", "1",
-                "--engine", "multirank", "--distribution", "binomial",
-            ]
-        ) == 0
+        assert main(["job", *self.SMALL, *self.OVERLAY]) == 0
         out = capsys.readouterr().out
         assert "distribution=binomial" in out
         assert "staging" in out
 
     def test_job_staging_only_runs_just_the_overlay_pass(self, capsys):
         assert main(
-            [
-                "job",
-                "--modules", "3", "--utilities", "2", "--avg-functions", "8",
-                "--tasks", "4", "--cores-per-node", "1",
-                "--engine", "multirank", "--distribution", "binomial",
-                "--staging-only",
-            ]
+            ["job", *self.SMALL, *self.OVERLAY, "--staging-only"]
         ) == 0
         out = capsys.readouterr().out
         assert "staging-only" in out
@@ -142,44 +140,31 @@ class TestCli:
         with pytest.raises(ConfigError, match="staging cell"):
             main(
                 [
-                    "job",
-                    "--modules", "3", "--utilities", "2",
-                    "--avg-functions", "8",
-                    "--tasks", "4", "--engine", "multirank",
+                    "job", *self.SMALL,
+                    "--set", "n_tasks=4", "--set", "engine=multirank",
                     "--staging-only",
                 ]
             )
 
     def test_job_profile_prints_hot_functions(self, capsys):
         assert main(
-            [
-                "job",
-                "--modules", "3", "--utilities", "2", "--avg-functions", "8",
-                "--tasks", "2", "--profile", "5",
-            ]
+            ["job", *self.SMALL, "--set", "n_tasks=2", "--profile", "5"]
         ) == 0
         out = capsys.readouterr().out
         assert "cProfile top 5 by own time" in out
         assert "tottime" in out
 
     def test_job_command_analytic_default(self, capsys):
-        assert main(
-            [
-                "job",
-                "--modules", "3", "--utilities", "2", "--avg-functions", "8",
-                "--tasks", "2",
-            ]
-        ) == 0
+        assert main(["job", *self.SMALL, "--set", "n_tasks=2"]) == 0
         out = capsys.readouterr().out
         assert "analytic job" in out
 
-    def test_job_rejects_distribution_on_analytic_engine(self):
-        with pytest.raises(ConfigError):
-            main(
-                [
-                    "job",
-                    "--modules", "3", "--utilities", "2",
-                    "--avg-functions", "8",
-                    "--distribution", "binomial",
-                ]
-            )
+    def test_job_rejects_distribution_on_analytic_engine(self, capsys):
+        assert main(
+            [
+                "job", *self.SMALL,
+                "--set", "engine=analytic",
+                "--set", "distribution.topology=binomial",
+            ]
+        ) == 1
+        assert "requires engine='multirank'" in capsys.readouterr().err

@@ -6,51 +6,57 @@ import pytest
 
 from repro.core import presets
 from repro.core.builds import BuildMode
-from repro.core.job import PynamicJob, job_size_sweep
+from repro.core.job import PynamicJob
 from repro.core.runner import BenchmarkRunner
 from repro.errors import ConfigError
+from repro.harness.sweep import SweepRunner, sweep_scenarios
 from repro.perf.tracing import EventKind, EventTrace
+from repro.scenario.spec import ScenarioSpec
+
+
+def _job(config=None, **fields):
+    return PynamicJob(ScenarioSpec(config=config or presets.tiny(), **fields))
 
 
 class TestPynamicJob:
     def test_node_sizing(self):
-        assert PynamicJob(config=presets.tiny(), n_tasks=8).n_nodes == 1
-        assert PynamicJob(config=presets.tiny(), n_tasks=9).n_nodes == 2
-        assert PynamicJob(config=presets.tiny(), n_tasks=256).n_nodes == 32
+        assert _job(n_tasks=8).n_nodes == 1
+        assert _job(n_tasks=9).n_nodes == 2
+        assert _job(n_tasks=256).n_nodes == 32
 
     def test_needs_a_task(self):
         with pytest.raises(ConfigError):
-            PynamicJob(config=presets.tiny(), n_tasks=0)
+            _job(n_tasks=0)
 
     def test_cold_import_grows_with_tasks(self):
         config = replace(presets.tiny(), n_modules=6, avg_functions=20)
-        small = PynamicJob(config=config, n_tasks=8).run()
-        big = PynamicJob(config=config, n_tasks=128).run()
+        small = _job(config, n_tasks=8).run()
+        big = _job(config, n_tasks=128).run()
         assert big.import_s > small.import_s
 
     def test_warm_jobs_insensitive_to_scale(self):
         config = replace(presets.tiny(), n_modules=6, avg_functions=20)
-        small = PynamicJob(config=config, n_tasks=8, warm_file_cache=True).run()
-        big = PynamicJob(config=config, n_tasks=128, warm_file_cache=True).run()
+        small = _job(config, n_tasks=8, warm_file_cache=True).run()
+        big = _job(config, n_tasks=128, warm_file_cache=True).run()
         # Warm: no NFS traffic, so import time is scale-independent; only
         # the MPI test grows (log2 of the task count).
         assert big.import_s == pytest.approx(small.import_s, rel=0.02)
         assert big.mpi_s > small.mpi_s
 
-    def test_mpi_test_scales_with_tasks(self, tiny_spec):
-        small = PynamicJob(spec=tiny_spec, n_tasks=4).run()
-        big = PynamicJob(spec=tiny_spec, n_tasks=64).run()
+    def test_mpi_test_scales_with_tasks(self, tiny_config):
+        small = _job(tiny_config, n_tasks=4).run()
+        big = _job(tiny_config, n_tasks=64).run()
         assert big.mpi_s > small.mpi_s
 
     def test_sweep_covers_all_counts(self):
         config = replace(presets.tiny(), n_modules=4, avg_functions=10)
-        reports = job_size_sweep(config, [2, 16])
-        assert set(reports) == {2, 16}
-        assert reports[16].n_tasks == 16
+        specs = [ScenarioSpec(config=config, n_tasks=n) for n in (2, 16)]
+        reports = sweep_scenarios(specs, runner=SweepRunner(workers=1))
+        assert [report.n_tasks for report in reports] == [2, 16]
 
     def test_nfs_concurrency_restored(self):
         config = replace(presets.tiny(), n_modules=4, avg_functions=10)
-        job = PynamicJob(config=config, n_tasks=64)
+        job = _job(config, n_tasks=64)
         job.run()
         # The job resets the server's contention state afterwards.
         # (A fresh cluster is made per job; smoke-check the API contract.)

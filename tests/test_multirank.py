@@ -6,14 +6,14 @@ import pytest
 
 from repro.core import presets
 from repro.core.builds import BuildMode
-from repro.core.job import ENGINES, JobReport, PynamicJob, percentile
-from repro.core.multirank import JobScenario, MultiRankJob
+from repro.core.job import JobReport, PynamicJob, percentile
+from repro.core.multirank import MultiRankJob
 from repro.errors import ConfigError
 from repro.fs.nfs import NFSServer
 from repro.fs.parallelfs import ParallelFileSystem
-from repro.harness.sweep import SweepRunner, sweep_job_reports
-from repro.machine.osprofile import bluegene
+from repro.harness.sweep import SweepRunner, sweep_scenarios
 from repro.machine.scheduler import EventScheduler, RankTask
+from repro.scenario.spec import ENGINES, ScenarioSpec
 
 
 @pytest.fixture(scope="module")
@@ -21,8 +21,18 @@ def small_config():
     return replace(presets.tiny(), n_modules=6, avg_functions=20)
 
 
-def _run(config, **kwargs):
-    return PynamicJob(config=config, engine="multirank", **kwargs).run()
+def _run(config, **fields):
+    spec = ScenarioSpec(config=config, engine="multirank", **fields)
+    return PynamicJob(spec).run()
+
+
+def _sweep(config, task_counts, runner, engine="analytic"):
+    """Reports by task count for a grid of otherwise equal specs."""
+    specs = [
+        ScenarioSpec(config=config, engine=engine, n_tasks=n_tasks)
+        for n_tasks in task_counts
+    ]
+    return dict(zip(task_counts, sweep_scenarios(specs, runner=runner)))
 
 
 class TestDeterminism:
@@ -37,9 +47,8 @@ class TestDeterminism:
             assert a.mpi_s == b.mpi_s
 
     def test_jittered_runs_are_reproducible(self, small_config):
-        scenario = JobScenario(os_jitter_s=0.05)
-        first = _run(small_config, n_tasks=8, scenario=scenario)
-        second = _run(small_config, n_tasks=8, scenario=scenario)
+        first = _run(small_config, n_tasks=8, os_jitter_s=0.05)
+        second = _run(small_config, n_tasks=8, os_jitter_s=0.05)
         assert [r.total_s for r in first.per_rank] == [
             r.total_s for r in second.per_rank
         ]
@@ -88,13 +97,13 @@ class TestContention:
 
 class TestScenarios:
     def test_straggler_nodes_slow_their_ranks(self, small_config):
-        scenario = JobScenario(straggler_nodes=(1,), straggler_slowdown=2.0)
         report = _run(
             small_config,
             n_tasks=4,
             cores_per_node=2,
             warm_file_cache=True,
-            scenario=scenario,
+            straggler_nodes=(1,),
+            straggler_slowdown=2.0,
         )
         fast = report.per_rank[0].visit_s  # node 0
         slow = report.per_rank[2].visit_s  # node 1, throttled
@@ -107,57 +116,65 @@ class TestScenarios:
             small_config,
             n_tasks=8,
             warm_file_cache=True,
-            scenario=JobScenario(os_jitter_s=0.1),
+            os_jitter_s=0.1,
         )
         assert report.total_skew_s > 0.0
         assert report.total_skew_s <= 0.1 + 1e-9
 
     def test_warm_node_mix(self, small_config):
-        scenario = JobScenario(warm_node_fraction=0.5)
-        report = _run(small_config, n_tasks=4, cores_per_node=1, scenario=scenario)
+        report = _run(
+            small_config, n_tasks=4, cores_per_node=1, warm_fraction=0.5
+        )
         imports = [r.import_s for r in report.per_rank]
         # Warm nodes import far faster than cold ones.
         assert min(imports) < max(imports) / 2
 
     def test_heterogeneous_os_profiles(self, small_config):
-        scenario = JobScenario(node_os_profiles={1: bluegene()})
-        report = _run(small_config, n_tasks=2, cores_per_node=1, scenario=scenario)
+        report = _run(
+            small_config,
+            n_tasks=2,
+            cores_per_node=1,
+            node_os_profiles={1: "bluegene"},
+        )
         # No demand paging on node 1: everything is read at map time, so
         # its rank takes no major faults afterwards.
         assert report.per_rank[1].major_fault_bytes == 0
         assert report.per_rank[0].major_fault_bytes > 0
 
     def test_scenario_validation(self):
-        with pytest.raises(ConfigError):
-            JobScenario(straggler_slowdown=0.5)
-        with pytest.raises(ConfigError):
-            JobScenario(os_jitter_s=-1.0)
-        with pytest.raises(ConfigError):
-            JobScenario(warm_node_fraction=1.5)
-        with pytest.raises(ConfigError):
-            MultiRankJob(
-                config=presets.tiny(),
-                n_tasks=2,
-                scenario=JobScenario(straggler_nodes=(5,)),
-            )
-        assert JobScenario().is_homogeneous
-        assert not JobScenario(os_jitter_s=0.1).is_homogeneous
+        multirank = ScenarioSpec(engine="multirank", n_tasks=2)
+        with pytest.raises(ConfigError, match="straggler_slowdown"):
+            multirank.with_(straggler_slowdown=0.5)
+        with pytest.raises(ConfigError, match="os_jitter_s"):
+            multirank.with_(os_jitter_s=-1.0)
+        with pytest.raises(ConfigError, match="warm_fraction"):
+            multirank.with_(warm_fraction=1.5)
+        with pytest.raises(ConfigError, match="outside the 1-node job"):
+            multirank.with_(straggler_nodes=(5,))
+        assert multirank.job_scenario().is_homogeneous
+        assert not multirank.with_(os_jitter_s=0.1).job_scenario().is_homogeneous
 
 
 class TestEngineDispatch:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigError):
-            PynamicJob(config=presets.tiny(), engine="quantum")
+            ScenarioSpec(config=presets.tiny(), engine="quantum")
         assert set(ENGINES) == {"analytic", "multirank"}
 
     def test_scenario_requires_multirank(self):
-        with pytest.raises(ConfigError):
-            PynamicJob(
-                config=presets.tiny(), scenario=JobScenario(), engine="analytic"
+        with pytest.raises(ConfigError, match="requires engine='multirank'"):
+            ScenarioSpec(
+                config=presets.tiny(), os_jitter_s=0.1, engine="analytic"
             )
+        with pytest.raises(ConfigError, match="engine='multirank'"):
+            MultiRankJob(ScenarioSpec(config=presets.tiny()))
+
+    def test_jobs_take_only_a_spec(self):
+        with pytest.raises(ConfigError, match="ScenarioSpec"):
+            PynamicJob(presets.tiny())
 
     def test_engines_label_their_reports(self, small_config):
-        analytic = PynamicJob(config=small_config, n_tasks=2).run()
+        analytic = PynamicJob(ScenarioSpec(config=small_config, n_tasks=2)).run()
         multi = _run(small_config, n_tasks=2)
         assert analytic.engine == "analytic"
         assert analytic.per_rank is None
@@ -165,7 +182,7 @@ class TestEngineDispatch:
         assert len(multi.per_rank) == 2
 
     def test_analytic_percentiles_collapse_to_rank0(self, small_config):
-        report = PynamicJob(config=small_config, n_tasks=4).run()
+        report = PynamicJob(ScenarioSpec(config=small_config, n_tasks=4)).run()
         assert report.import_p50 == report.import_s
         assert report.import_p95 == report.import_s
         assert report.import_skew_s == 0.0
@@ -259,36 +276,32 @@ class TestTimedQueues:
 
 class TestSweepRunner:
     def test_parallel_matches_sequential(self, small_config):
-        parallel = sweep_job_reports(
-            small_config, [2, 4], runner=SweepRunner(workers=2)
-        )
-        sequential = sweep_job_reports(
-            small_config, [2, 4], runner=SweepRunner(workers=1)
-        )
+        parallel = _sweep(small_config, [2, 4], SweepRunner(workers=2))
+        sequential = _sweep(small_config, [2, 4], SweepRunner(workers=1))
         for n_tasks in (2, 4):
             assert parallel[n_tasks].import_s == sequential[n_tasks].import_s
             assert parallel[n_tasks].total_s == sequential[n_tasks].total_s
 
     def test_memoizes_per_config(self, small_config):
         runner = SweepRunner(workers=1)
-        sweep_job_reports(small_config, [2, 4], runner=runner)
+        _sweep(small_config, [2, 4], runner)
         assert (runner.hits, runner.misses) == (0, 2)
-        sweep_job_reports(small_config, [2, 4], runner=runner)
+        _sweep(small_config, [2, 4], runner)
         assert (runner.hits, runner.misses) == (2, 2)
         # A different grid point is a miss, shared points hit.
-        sweep_job_reports(small_config, [2, 8], runner=runner)
+        _sweep(small_config, [2, 8], runner)
         assert (runner.hits, runner.misses) == (3, 3)
 
     def test_memoization_can_be_disabled(self, small_config):
         runner = SweepRunner(workers=1, memoize=False)
-        sweep_job_reports(small_config, [2], runner=runner)
-        sweep_job_reports(small_config, [2], runner=runner)
+        _sweep(small_config, [2], runner)
+        _sweep(small_config, [2], runner)
         assert runner.hits == 0
         assert runner.misses == 2
 
     def test_multirank_reports_survive_the_pool(self, small_config):
-        reports = sweep_job_reports(
-            small_config, [4], engine="multirank", runner=SweepRunner(workers=2)
+        reports = _sweep(
+            small_config, [4], SweepRunner(workers=2), engine="multirank"
         )
         report = reports[4]
         assert isinstance(report, JobReport)
@@ -305,31 +318,32 @@ class TestSweepRunner:
 
     def test_disk_cache_survives_processes(self, small_config, tmp_path):
         first = SweepRunner(workers=1, cache_dir=tmp_path)
-        computed = sweep_job_reports(small_config, [2], runner=first)
+        computed = _sweep(small_config, [2], first)
         assert (first.hits, first.misses) == (0, 1)
         # A fresh runner models a fresh process/CI run: the memo dict is
         # empty but the disk layer replays the result.
         second = SweepRunner(workers=1, cache_dir=tmp_path)
-        replayed = sweep_job_reports(small_config, [2], runner=second)
+        replayed = _sweep(small_config, [2], second)
         assert (second.hits, second.misses) == (1, 0)
         assert replayed[2].total_s == computed[2].total_s
         assert replayed[2].import_s == computed[2].import_s
 
     def test_disk_cache_distinguishes_points(self, small_config, tmp_path):
         runner = SweepRunner(workers=1, cache_dir=tmp_path)
-        sweep_job_reports(small_config, [2], runner=runner)
+        _sweep(small_config, [2], runner)
         fresh = SweepRunner(workers=1, cache_dir=tmp_path)
-        sweep_job_reports(small_config, [4], runner=fresh)
+        _sweep(small_config, [4], fresh)
         assert (fresh.hits, fresh.misses) == (0, 1)
 
     def test_disk_cache_tolerates_corruption(self, small_config, tmp_path):
         runner = SweepRunner(workers=1, cache_dir=tmp_path)
-        sweep_job_reports(small_config, [2], runner=runner)
+        _sweep(small_config, [2], runner)
         for entry in tmp_path.iterdir():
             entry.write_bytes(b"not a pickle")
         fresh = SweepRunner(workers=1, cache_dir=tmp_path)
-        reports = sweep_job_reports(small_config, [2], runner=fresh)
+        reports = _sweep(small_config, [2], fresh)
         assert fresh.misses == 1  # recomputed, not crashed
+        assert fresh.corrupt == 1  # and the poisoned file is counted
         assert reports[2].total_s > 0.0
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core import presets
 from repro.core import multirank as multirank_module
-from repro.core.multirank import JobScenario, MultiRankJob
+from repro.core.multirank import MultiRankJob
 from repro.core.ranktrace import CONTAINS, WAIT, Follower, TraceStore
 from repro.dist.topology import DistributionSpec, Topology
 from repro.machine.cluster import Cluster
@@ -60,12 +60,17 @@ def _live_only(monkeypatch) -> None:
     monkeypatch.setattr(multirank_module, "trace_key", lambda *args: None)
 
 
+def _job(batch_homogeneous: bool = True, **fields) -> MultiRankJob:
+    spec = ScenarioSpec(engine="multirank", **fields)
+    return MultiRankJob(spec, batch_homogeneous=batch_homogeneous)
+
+
 def _job_pair(monkeypatch, **kwargs):
-    traced_job = MultiRankJob(**kwargs)
+    traced_job = _job(**kwargs)
     traced = _run_job(traced_job)
     with monkeypatch.context() as patch:
         _live_only(patch)
-        live_job = MultiRankJob(**kwargs)
+        live_job = _job(**kwargs)
         live = _run_job(live_job)
     assert live_job.n_replayed == live_job.n_rebuilt == 0
     return traced_job, traced, live
@@ -89,21 +94,20 @@ class _Counts(NamedTuple):
 def _run_workload(spec: WorkloadSpec):
     clusters = []
     jobs: list[MultiRankJob] = []
-    from_scenario = MultiRankJob.from_scenario.__func__
 
     class _Recorded(Cluster):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             clusters.append(self)
 
-    def _recorded_job(cls, *args, **kwargs):
-        job = from_scenario(cls, *args, **kwargs)
-        jobs.append(job)
-        return job
+    class _RecordedJob(MultiRankJob):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            jobs.append(self)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine_module, "Cluster", _Recorded)
-        patch.setattr(MultiRankJob, "from_scenario", classmethod(_recorded_job))
+        patch.setattr(engine_module, "MultiRankJob", _RecordedJob)
         report = WorkloadEngine(spec).run()
     counts = _Counts(
         simulated=sum(job.n_simulated for job in jobs),
@@ -168,7 +172,7 @@ class TestEquivalence:
             config=tiny,
             n_tasks=8,
             cores_per_node=1,
-            scenario=JobScenario(os_jitter_s=0.01),
+            os_jitter_s=0.01,
         )
         _assert_identical(traced, live)
         assert job.n_rebuilt > 0
@@ -182,11 +186,11 @@ class TestEquivalence:
             cores_per_node=1,
             distribution=DistributionSpec(topology=Topology.BINOMIAL),
         )
-        job = MultiRankJob(**kwargs)
+        job = _job(**kwargs)
         traced = _run_job(job, traces)
         with monkeypatch.context() as patch:
             _live_only(patch)
-            live = _run_job(MultiRankJob(**kwargs))
+            live = _run_job(_job(**kwargs))
         _assert_identical(traced, live)
         assert job.n_replayed == 7
         (trace,) = traces._traces.values()
@@ -200,15 +204,14 @@ class TestEquivalence:
             config=tiny,
             n_tasks=8,
             cores_per_node=1,
-            scenario=JobScenario(
-                straggler_nodes=(1, 3, 5), warm_nodes=(2, 6, 7)
-            ),
+            straggler_nodes=(1, 3, 5),
+            warm_nodes=(2, 6, 7),
         )
-        job = MultiRankJob(**kwargs)
+        job = _job(**kwargs)
         traced = _run_job(job, traces)
         with monkeypatch.context() as patch:
             _live_only(patch)
-            live = _run_job(MultiRankJob(**kwargs))
+            live = _run_job(_job(**kwargs))
         _assert_identical(traced, live)
         # Cold, straggler and warm nodes: three keys, three leaders.
         assert len(traces) == 3
@@ -245,7 +248,7 @@ class TestEquivalence:
             config=tiny,
             n_tasks=6,
             cores_per_node=1,
-            scenario=JobScenario(straggler_nodes=(3, 4, 5)),
+            straggler_nodes=(3, 4, 5),
         )
         _assert_identical(traced, live)
         per_rank = traced[0].per_rank
@@ -269,39 +272,34 @@ class TestCounts:
 
     def test_single_rank_job_records_nothing(self, tiny):
         traces = TraceStore()
-        job = MultiRankJob(config=tiny, n_tasks=1)
+        job = _job(config=tiny, n_tasks=1)
         _run_job(job, traces)
         assert len(traces) == 0
         assert job.n_replayed == job.n_rebuilt == 0
 
     def test_a_key_one_rank_holds_records_nothing(self, tiny):
         traces = TraceStore()
-        job = MultiRankJob(
-            config=tiny,
-            n_tasks=4,
-            cores_per_node=1,
-            scenario=JobScenario(straggler_nodes=(2,)),
+        job = _job(
+            config=tiny, n_tasks=4, cores_per_node=1, straggler_nodes=(2,)
         )
         _run_job(job, traces)
         assert len(traces) == 1
         assert job.n_replayed == 2
 
     def test_randomized_load_addresses_never_share(self, tiny):
-        from repro.machine.osprofile import linux_chaos
-
         traces = TraceStore()
-        job = MultiRankJob(
+        job = _job(
             config=tiny,
             n_tasks=4,
             cores_per_node=1,
-            os_profile=linux_chaos(randomize_load_addresses=True),
+            os_profile="linux_chaos_aslr",
         )
         _run_job(job, traces)
         assert len(traces) == 0
 
     def test_cold_trace_checks_contains_answers(self, tiny):
         traces = TraceStore()
-        _run_job(MultiRankJob(config=tiny, n_tasks=3, cores_per_node=1), traces)
+        _run_job(_job(config=tiny, n_tasks=3, cores_per_node=1), traces)
         (trace,) = traces._traces.values()
         assert any(event[0] == CONTAINS for event in trace)
 
@@ -332,17 +330,14 @@ def test_random_job_shapes_match_live(
     stragglers, warm, batch,
 ):
     n_nodes = -(-n_tasks // cores_per_node)
-    scenario = JobScenario(
-        os_jitter_s=jitter,
-        straggler_nodes=tuple(sorted(i for i in stragglers if i < n_nodes)),
-        warm_nodes=tuple(sorted(i for i in warm if i < n_nodes)),
-    )
     _, traced, live = _job_pair(
         monkeypatch,
         config=tiny,
         n_tasks=n_tasks,
         cores_per_node=cores_per_node,
-        scenario=scenario,
+        os_jitter_s=jitter,
+        straggler_nodes=tuple(sorted(i for i in stragglers if i < n_nodes)),
+        warm_nodes=tuple(sorted(i for i in warm if i < n_nodes)),
         distribution=distribution,
         batch_homogeneous=batch,
     )

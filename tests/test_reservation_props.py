@@ -1,12 +1,11 @@
 """Property suite: the reservation timeline against its legacy reference.
 
 :class:`ReservationTimeline` replaced the O(n) list implementation on
-the engine's hottest path; the ``legacy_*`` functions were kept verbatim
-as the semantic reference.  Hypothesis drives both through random
-workloads and pins:
+the engine's hottest path; ``tests/legacy_reservation.py`` keeps that
+implementation verbatim as the semantic reference.  Hypothesis drives
+both through random workloads and pins:
 
-- ``reserve`` returns bit-identical placements (and the list-fallback
-  module API stays equivalent window-for-window);
+- ``reserve`` returns bit-identical placements;
 - ``earliest_gap`` agrees with the linear scan over the same windows,
   so the suffix-max pruning never changes an answer;
 - stored windows stay sorted, disjoint and non-empty, with the suffix
@@ -24,14 +23,8 @@ the module docstring states.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fs.reservation import (
-    ReservationTimeline,
-    book,
-    earliest_gap,
-    legacy_earliest_gap,
-    legacy_reserve,
-    reserve,
-)
+from legacy_reservation import legacy_earliest_gap, legacy_reserve
+from repro.fs.reservation import ReservationTimeline
 
 #: One reservation request: (arrival, service).
 _REQUEST = st.tuples(
@@ -54,19 +47,6 @@ def test_reserve_matches_legacy_reference(workload):
         assert timeline.horizon_s == max(end for _, end in windows)
 
 
-@given(_WORKLOAD)
-def test_list_fallback_matches_timeline_window_for_window(workload):
-    # The module-level API with a plain list (the fallback path) merges
-    # with the same epsilon, so even the stored windows must coincide.
-    timeline = ReservationTimeline()
-    fallback = []
-    for arrival, service in workload:
-        assert reserve(fallback, arrival, service) == timeline.reserve(
-            arrival, service
-        )
-    assert timeline.windows == fallback
-
-
 @given(_WORKLOAD, st.lists(_REQUEST, min_size=1, max_size=20))
 def test_earliest_gap_agrees_with_linear_scan(workload, queries):
     timeline = ReservationTimeline()
@@ -76,7 +56,6 @@ def test_earliest_gap_agrees_with_linear_scan(workload, queries):
     for arrival, service in queries:
         got = timeline.earliest_gap(arrival, service)
         assert got == legacy_earliest_gap(frozen, arrival, service)
-        assert got == earliest_gap(timeline, arrival, service)
 
 
 @given(_WORKLOAD)
@@ -152,14 +131,3 @@ def test_identical_storm_packs_into_one_window():
     assert begins == expected
     assert len(timeline) == 1
     assert timeline.bookings == 8
-
-
-@given(_WORKLOAD)
-def test_module_api_book_accepts_either_container(workload):
-    timeline = ReservationTimeline()
-    fallback = []
-    for arrival, service in workload:
-        begin = timeline.earliest_gap(arrival, service)
-        book(timeline, begin, service)
-        book(fallback, begin, service)
-    assert timeline.windows == fallback

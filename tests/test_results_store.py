@@ -1,16 +1,14 @@
-"""The results warehouse: store, migration, concurrency, query, CLI.
+"""The results warehouse: store, schema, concurrency, query, CLI.
 
-Covers the SQLite sweep store that replaced the silent-failure pickle
-cache: bit-identical round-trips, legacy pickle-dir migration, corrupt
-rows *counted* instead of eaten, two concurrent writer processes on
+Covers the SQLite sweep store: bit-identical round-trips, the metadata
+backfill of rows older versions wrote, corrupt rows *counted* instead
+of eaten, two concurrent writer processes on
 one warehouse (WAL + ``BEGIN IMMEDIATE``), and the ``results
 query/diff/export`` CLI.
 """
 
-import hashlib
 import json
 import os
-import pickle
 import sqlite3
 from multiprocessing import get_context
 
@@ -182,55 +180,25 @@ class TestCorruptionIsCountedNotEaten:
 
 
 class TestLegacyPickleMigration:
-    def _seed_legacy_entry(self, directory, func_name, key, result):
-        """Write a pickle entry exactly as the old ``_disk_store`` did."""
-        digest = hashlib.sha256(f"{func_name}:{key}".encode()).hexdigest()
-        with open(os.path.join(directory, f"{digest}.pkl"), "wb") as handle:
-            pickle.dump(result, handle)
-
-    def test_pickle_dir_migrates_bit_identically(
-        self, tmp_path, tiny_spec, tiny_report
-    ):
-        self._seed_legacy_entry(
-            tmp_path, "_eval_scenario_point", tiny_spec.spec_hash, tiny_report
-        )
-        with pytest.warns(UserWarning, match="absorbed 1 pickle"):
-            runner = SweepRunner(workers=1, cache_dir=tmp_path)
-        (replayed,) = sweep_scenarios([tiny_spec], runner=runner)
-        assert (runner.hits, runner.misses, runner.corrupt) == (1, 0, 0)
-        assert replayed == tiny_report
-        assert not list(tmp_path.glob("*.pkl"))  # absorbed, not copied
-        assert runner.warehouse.migrated == 1
-
-    def test_corrupt_pickles_are_counted_and_left_in_place(
-        self, tmp_path, tiny_spec, tiny_report
-    ):
-        self._seed_legacy_entry(
-            tmp_path, "_eval_scenario_point", tiny_spec.spec_hash, tiny_report
-        )
-        bad = tmp_path / ("ff" * 32 + ".pkl")
-        bad.write_bytes(b"not a pickle")
-        leaked = tmp_path / ("ee" * 32 + ".pkl.tmp.12345")
-        leaked.write_bytes(b"torn mid-write")
-        with pytest.warns(UserWarning):
-            runner = SweepRunner(workers=1, cache_dir=tmp_path)
-        # good entry migrated; bad pickle + leaked tmp counted corrupt
-        assert runner.warehouse.migrated == 1
-        assert runner.corrupt == 2
-        assert bad.exists()  # left for post-mortem
-        assert not leaked.exists()  # torn by definition — swept
+    """Rows that older versions wrote without their (func, key) metadata
+    (the pickle-cache migration left ``func`` NULL) may still sit in a
+    warehouse on disk; the first hit backfills them."""
 
     def test_migrated_row_backfills_func_and_key_on_first_hit(
         self, tmp_path, tiny_spec, tiny_report
     ):
-        self._seed_legacy_entry(
-            tmp_path, "_eval_scenario_point", tiny_spec.spec_hash, tiny_report
-        )
-        with pytest.warns(UserWarning, match="absorbed"):
-            store = ResultsWarehouse.for_cache_dir(tmp_path)
+        store = ResultsWarehouse.for_cache_dir(tmp_path)
+        store.store("_eval_scenario_point", tiny_spec.spec_hash, tiny_report)
+        store.close()
+        conn = sqlite3.connect(resolve_warehouse_path(tmp_path))
+        conn.execute("UPDATE results SET func = NULL, result_key = NULL")
+        conn.commit()
+        conn.close()
+        store = ResultsWarehouse.for_cache_dir(tmp_path)
         (row,) = store.rows()
-        assert row["func"] is None  # the pickle file name holds no key
-        assert store.load("_eval_scenario_point", tiny_spec.spec_hash) is not None
+        assert row["func"] is None
+        loaded = store.load("_eval_scenario_point", tiny_spec.spec_hash)
+        assert loaded == tiny_report
         (row,) = store.rows()
         assert row["func"] == "_eval_scenario_point"
         assert row["result_key"] == tiny_spec.spec_hash
@@ -390,8 +358,9 @@ class TestResultsCli:
     def test_job_cache_dir_lands_in_the_warehouse(self, tmp_path, capsys):
         cache = tmp_path / "jobcache"
         args = [
-            "job", "--tasks", "2", "--modules", "2", "--utilities", "1",
-            "--avg-functions", "4", "--cache-dir", str(cache),
+            "job", "--spec", "tiny", "--set", "n_tasks=2",
+            "--set", "config.n_modules=2", "--set", "config.n_utilities=1",
+            "--set", "config.avg_functions=4", "--cache-dir", str(cache),
         ]
         assert main(args) == 0
         capsys.readouterr()

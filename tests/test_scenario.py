@@ -1,6 +1,7 @@
 """The unified scenario API: spec, builder, presets, plumbing, CLI."""
 
 import json
+import re
 
 import pytest
 
@@ -12,7 +13,7 @@ from repro.dist.topology import DistributionSpec, Topology
 from repro.elf.symbols import HashStyle
 from repro.errors import ConfigError
 from repro.harness.cli import main
-from repro.harness.sweep import SweepRunner, sweep_job_reports, sweep_scenarios
+from repro.harness.sweep import SweepRunner, sweep_scenarios
 from repro.machine.osprofile import aix32
 from repro.scenario import (
     Scenario,
@@ -294,38 +295,36 @@ class TestPresets:
 
 
 class TestJobPlumbing:
-    """Legacy kwargs and specs are two spellings of one job."""
-
-    def test_legacy_kwargs_normalize_to_spec(self, tiny_config):
-        job = PynamicJob(
-            config=tiny_config, n_tasks=4, cores_per_node=2, engine="multirank"
-        )
-        assert job.scenario_spec is not None
-        assert job.scenario_spec.n_tasks == 4
-        assert job.scenario_spec.engine == "multirank"
+    """A spec is the only input of a job, however the spec was spelled."""
 
     def test_from_scenario_carries_its_spec_without_renormalizing(
         self, tiny_config
     ):
         spec = ScenarioSpec(config=tiny_config, n_tasks=2)
-        assert PynamicJob.from_scenario(spec).scenario_spec is spec
+        assert PynamicJob(spec).spec is spec
+        multirank = spec.with_(engine="multirank")
+        assert MultiRankJob(multirank).spec is multirank
 
-    def test_pregenerated_spec_has_no_declarative_spelling(self, tiny_spec):
-        job = PynamicJob(spec=tiny_spec, n_tasks=2)
-        assert job.scenario_spec is None
+    def test_pregenerated_spec_has_no_declarative_spelling(
+        self, tiny_config, tiny_spec
+    ):
+        # A generated library set is not a job: it rides along with the
+        # spec that declares the job, and must match what the spec's
+        # config would generate.
+        with pytest.raises(ConfigError, match="ScenarioSpec"):
+            PynamicJob(tiny_spec)
+        spec = ScenarioSpec(
+            config=tiny_config, engine="multirank", n_tasks=4,
+            cores_per_node=2,
+        )
+        shared = MultiRankJob(spec, benchmark=tiny_spec).run()
+        assert shared == MultiRankJob(spec).run()
 
     def test_bit_identical_reports_across_spellings(self, tiny_config):
-        """Acceptance: the same grid point via legacy kwargs and via
-        ScenarioSpec produces bit-identical JobReports."""
-        legacy = PynamicJob(
-            config=tiny_config,
-            n_tasks=4,
-            cores_per_node=2,
-            engine="multirank",
-            scenario=JobScenario(os_jitter_s=0.01),
-            hash_style=HashStyle.GNU,
-        ).run()
-        spec = ScenarioSpec(
+        """Acceptance: the same grid point built directly, through the
+        fluent builder and from a JSON document produces bit-identical
+        JobReports."""
+        direct = ScenarioSpec(
             config=tiny_config,
             engine="multirank",
             n_tasks=4,
@@ -333,71 +332,61 @@ class TestJobPlumbing:
             os_jitter_s=0.01,
             hash_style=HashStyle.GNU,
         )
-        assert legacy == simulate(spec)
+        built = (
+            Scenario(config=tiny_config)
+            .tasks(4, cores_per_node=2)
+            .jitter(0.01)
+            .hash_style(HashStyle.GNU)
+            .build()
+        )
+        parsed = ScenarioSpec.from_dict(json.loads(direct.canonical_json()))
+        assert built == direct == parsed
+        report = PynamicJob(direct).run()
+        assert report == simulate(built)
+        assert report == simulate(parsed)
 
     def test_bit_identical_analytic_reports(self, tiny_config):
-        legacy = PynamicJob(config=tiny_config, n_tasks=3).run()
-        assert legacy == simulate(ScenarioSpec(config=tiny_config, n_tasks=3))
+        spec = ScenarioSpec(config=tiny_config, n_tasks=3)
+        parsed = ScenarioSpec.from_dict(json.loads(spec.canonical_json()))
+        assert PynamicJob(spec).run() == simulate(parsed)
 
     def test_multirank_from_scenario_rejects_analytic(self, tiny_config):
         with pytest.raises(ConfigError, match="engine"):
-            MultiRankJob.from_scenario(ScenarioSpec(config=tiny_config))
+            MultiRankJob(ScenarioSpec(config=tiny_config))
 
 
 class TestSweepCacheUnification:
     """Acceptance: one cache entry per grid point, however spelled."""
 
+    @staticmethod
+    def _spellings(config):
+        direct = ScenarioSpec(
+            config=config, engine="multirank", n_tasks=4, cores_per_node=2
+        )
+        parsed = ScenarioSpec.from_dict(json.loads(direct.canonical_json()))
+        return direct, parsed
+
     def test_memory_cache_hits_across_spellings(self, tiny_config):
+        direct, parsed = self._spellings(tiny_config)
         runner = SweepRunner(workers=1)
-        legacy = sweep_job_reports(
-            tiny_config, [4], engine="multirank", cores_per_node=2,
-            runner=runner,
-        )
+        first = sweep_scenarios([direct], runner=runner)
         assert (runner.hits, runner.misses) == (0, 1)
-        spec = ScenarioSpec(
-            config=tiny_config, engine="multirank", n_tasks=4,
-            cores_per_node=2,
-        )
-        via_spec = sweep_scenarios([spec], runner=runner)
+        again = sweep_scenarios([parsed], runner=runner)
         assert (runner.hits, runner.misses) == (1, 1)
-        assert legacy[4] == via_spec[0]
+        assert first[0] == again[0]
 
     def test_disk_cache_hits_across_processes_and_spellings(
         self, tiny_config, tmp_path
     ):
+        direct, parsed = self._spellings(tiny_config)
         first = SweepRunner(workers=1, cache_dir=tmp_path)
-        sweep_job_reports(
-            tiny_config, [4], engine="multirank", cores_per_node=2,
-            runner=first,
-        )
+        sweep_scenarios([direct], runner=first)
         assert first.misses == 1
         # A fresh runner (a fresh process, as far as the cache is
-        # concerned) spells the same point as a spec: disk hit.
+        # concerned) spells the same point from its JSON: disk hit.
         second = SweepRunner(workers=1, cache_dir=tmp_path)
-        spec = ScenarioSpec(
-            config=tiny_config, engine="multirank", n_tasks=4,
-            cores_per_node=2,
-        )
-        sweep_scenarios([spec], runner=second)
+        sweep_scenarios([parsed], runner=second)
         assert (second.hits, second.misses) == (1, 0)
-
-    def test_inexpressible_points_fall_back_to_repr_keys(self):
-        # A custom OsProfile outside the registry has no declarative
-        # spelling; the sweep still works through the legacy tuple path.
-        from repro.machine.osprofile import OsProfile
-
-        custom = OsProfile(name="lab_kernel", page_bytes=8192)
-        scenario = JobScenario(node_os_profiles={0: custom})
-        runner = SweepRunner(workers=1)
-        reports = sweep_job_reports(
-            presets.tiny(),
-            [2],
-            engine="multirank",
-            scenario=scenario,
-            runner=runner,
-        )
-        assert reports[2].n_tasks == 2
-        assert (runner.hits, runner.misses) == (0, 1)
 
 
 class TestSpecCli:
@@ -481,20 +470,53 @@ class TestSpecCli:
         assert "multirank job: 4 tasks" in out
         assert "distribution=binomial" in out
 
-    def test_job_set_engine_pin_beats_auto_selection(self):
-        with pytest.raises(ConfigError, match="multirank"):
-            main(
-                [
-                    "job", "--spec", "tiny",
-                    "--set", "engine=analytic",
-                    "--set", "distribution.topology=binomial",
-                ]
-            )
+    @staticmethod
+    def _clean_error(capsys, argv, match):
+        """``job`` rejects a bad spec with one stderr line and exit 1."""
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert re.search(match, captured.err)
+        assert "Traceback" not in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
 
-    def test_job_set_rejects_unknown_field(self):
-        with pytest.raises(ConfigError, match="bogus_knob"):
-            main(["job", "--spec", "tiny", "--set", "bogus_knob=1"])
+    def test_job_set_engine_pin_beats_auto_selection(self, capsys):
+        self._clean_error(
+            capsys,
+            [
+                "job", "--spec", "tiny",
+                "--set", "engine=analytic",
+                "--set", "distribution.topology=binomial",
+            ],
+            "multirank",
+        )
 
-    def test_job_set_requires_key_value(self):
-        with pytest.raises(ConfigError, match="KEY=VALUE"):
-            main(["job", "--spec", "tiny", "--set", "engine"])
+    def test_job_set_rejects_unknown_field(self, capsys):
+        self._clean_error(
+            capsys,
+            ["job", "--spec", "tiny", "--set", "bogus_knob=1"],
+            "bogus_knob",
+        )
+
+    def test_job_set_requires_key_value(self, capsys):
+        self._clean_error(
+            capsys, ["job", "--spec", "tiny", "--set", "engine"], "KEY=VALUE"
+        )
+
+    def test_job_unknown_preset_prints_clean_error(self, capsys):
+        self._clean_error(
+            capsys, ["job", "--spec", "nosuchpreset"], "nosuchpreset"
+        )
+
+    def test_job_invalid_override_value_prints_clean_error(self, capsys):
+        self._clean_error(
+            capsys,
+            ["job", "--spec", "tiny", "--set", "n_tasks=0"],
+            "n_tasks: need at least one task",
+        )
+
+    def test_job_requires_a_spec(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["job"])
+        assert exit_info.value.code == 2
+        assert "--spec" in capsys.readouterr().err

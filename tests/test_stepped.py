@@ -9,7 +9,7 @@ from repro.core import presets
 from repro.core.builds import BuildMode, build_benchmark
 from repro.core.generator import generate
 from repro.core.job import PynamicJob
-from repro.core.multirank import JobScenario, MultiRankJob
+from repro.core.multirank import MultiRankJob, RankPlan
 from repro.elf.symbols import HashStyle
 from repro.errors import ConfigError
 from repro.fs.nfs import NFSServer
@@ -23,12 +23,19 @@ from repro.machine.scheduler import (
     SteppedProgram,
     drain,
 )
+from repro.scenario.spec import ScenarioSpec
 from repro.tools.debugger import MultirankDebuggerStartup, ParallelDebugger
 
 
 @pytest.fixture(scope="module")
 def small_config():
     return replace(presets.tiny(), n_modules=6, avg_functions=20)
+
+
+def _multirank_spec(config=None, **fields):
+    return ScenarioSpec(
+        config=config or presets.tiny(), engine="multirank", **fields
+    )
 
 
 def _fresh_start(spec, mode=BuildMode.LINKED_BIND_NOW):
@@ -105,12 +112,12 @@ class TestStartupInterleaving:
     """Cold multi-node jobs interleave startup at per-object resolution."""
 
     def test_cold_multi_node_startup_skew_emerges(self, small_config):
-        report = PynamicJob(
+        report = PynamicJob(ScenarioSpec(
             config=small_config,
             engine="multirank",
             n_tasks=4,
             cores_per_node=1,
-        ).run()
+        )).run()
         # Each node's rank fights the others for the NFS pipe while
         # mapping the startup closure, so program start itself skews —
         # invisible when start_program was one atomic step.
@@ -122,12 +129,12 @@ class TestStartupInterleaving:
 
     def test_interleaving_is_deterministic_across_runs(self, small_config):
         runs = [
-            PynamicJob(
+            PynamicJob(ScenarioSpec(
                 config=small_config,
                 engine="multirank",
                 n_tasks=4,
                 cores_per_node=1,
-            ).run()
+            )).run()
             for _ in range(2)
         ]
         first, second = runs
@@ -139,15 +146,15 @@ class TestStartupInterleaving:
         ]
 
     def test_warm_single_rank_startup_matches_analytic(self, small_config):
-        analytic = PynamicJob(
+        analytic = PynamicJob(ScenarioSpec(
             config=small_config, n_tasks=1, warm_file_cache=True
-        ).run()
-        multirank = PynamicJob(
+        )).run()
+        multirank = PynamicJob(ScenarioSpec(
             config=small_config,
             engine="multirank",
             n_tasks=1,
             warm_file_cache=True,
-        ).run()
+        )).run()
         assert multirank.startup_s == pytest.approx(
             analytic.startup_s, rel=0.01
         )
@@ -240,7 +247,12 @@ class TestMultirankDebugger:
         assert startup.phase1_s > startup.daemon_max  # + attach + mirror
 
     def test_straggler_node_daemon_is_slowest(self):
-        scenario = JobScenario(straggler_nodes=(2,), straggler_slowdown=2.0)
+        scenario = _multirank_spec(
+            n_tasks=self.N_TASKS,
+            cores_per_node=self.N_TASKS // 4,
+            straggler_nodes=(2,),
+            straggler_slowdown=2.0,
+        ).job_scenario()
         cluster, build = self._cluster_build()
         startup = ParallelDebugger(
             cluster, n_tasks=self.N_TASKS
@@ -262,12 +274,18 @@ class TestMultirankDebugger:
         cluster, build = self._cluster_build()
         debugger = ParallelDebugger(cluster, n_tasks=self.N_TASKS)
         with pytest.raises(Exception):
+            # A valid 10-node spec's straggler, run on this 4-node cluster.
             debugger.startup_multirank(
-                build, scenario=JobScenario(straggler_nodes=(9,))
+                build,
+                scenario=_multirank_spec(
+                    n_tasks=10, cores_per_node=1, straggler_nodes=(9,)
+                ).job_scenario(),
             )
 
     def test_jitter_is_deterministic(self):
-        scenario = JobScenario(os_jitter_s=0.05)
+        scenario = _multirank_spec(
+            n_tasks=self.N_TASKS, os_jitter_s=0.05
+        ).job_scenario()
         results = []
         for _ in range(2):
             cluster, build = self._cluster_build()
@@ -284,19 +302,13 @@ class TestHomogeneousBatching:
     """Warm zero-heterogeneity jobs simulate one representative rank."""
 
     def test_batched_matches_unbatched_exactly(self, small_config):
-        batched_job = MultiRankJob(
-            config=small_config, n_tasks=8, warm_file_cache=True
-        )
+        spec = _multirank_spec(small_config, n_tasks=8, warm_file_cache=True)
+        batched_job = MultiRankJob(spec)
         batched = batched_job.run()
-        unbatched_job = MultiRankJob(
-            config=small_config,
-            n_tasks=8,
-            warm_file_cache=True,
-            batch_homogeneous=False,
-        )
+        unbatched_job = MultiRankJob(spec, batch_homogeneous=False)
         unbatched = unbatched_job.run()
-        assert batched_job.batched
-        assert not unbatched_job.batched
+        assert batched_job.rank_plan is RankPlan.ONE_RANK
+        assert unbatched_job.rank_plan is RankPlan.EVERY_RANK
         assert len(batched.per_rank) == len(unbatched.per_rank) == 8
         for fast, slow in zip(batched.per_rank, unbatched.per_rank):
             assert fast.startup_s == slow.startup_s
@@ -309,26 +321,27 @@ class TestHomogeneousBatching:
         # Cold jobs batch differently: co-resident cache-hit ranks ride a
         # per-node representative (tests/test_dist.py::TestColdBatching),
         # never the warm single-representative path.
-        job = MultiRankJob(config=small_config, n_tasks=4)
+        job = MultiRankJob(_multirank_spec(small_config, n_tasks=4))
         job.run()
-        assert not job.batched
-        assert job.cold_batched
+        assert job.rank_plan is RankPlan.COLD_BATCH
 
     def test_heterogeneous_scenarios_never_batch(self, small_config):
         job = MultiRankJob(
-            config=small_config,
-            n_tasks=4,
-            warm_file_cache=True,
-            scenario=JobScenario(os_jitter_s=0.01),
+            _multirank_spec(
+                small_config, n_tasks=4, warm_file_cache=True, os_jitter_s=0.01
+            )
         )
         job.run()
-        assert not job.batched
+        assert job.rank_plan is RankPlan.EVERY_RANK
 
     def test_batching_keeps_sweeps_tractable(self, small_config):
         # 64 warm homogeneous ranks cost ~one rank's simulation.
-        job = MultiRankJob(config=small_config, n_tasks=64, warm_file_cache=True)
+        job = MultiRankJob(
+            _multirank_spec(small_config, n_tasks=64, warm_file_cache=True)
+        )
         report = job.run()
-        assert job.batched
+        assert job.rank_plan is RankPlan.ONE_RANK
+        assert job.n_simulated == 1
         assert len(report.per_rank) == 64
         assert report.import_skew_s == 0.0
 
@@ -337,52 +350,52 @@ class TestKnobPlumbing:
     """hash_style / prelink reach the multirank engine through PynamicJob."""
 
     def test_prelink_reaches_the_multirank_linker(self, small_config):
-        plain = PynamicJob(
+        plain = PynamicJob(ScenarioSpec(
             config=small_config,
             engine="multirank",
             mode=BuildMode.LINKED,
             n_tasks=2,
             warm_file_cache=True,
-        ).run()
-        prelinked = PynamicJob(
+        )).run()
+        prelinked = PynamicJob(ScenarioSpec(
             config=small_config,
             engine="multirank",
             mode=BuildMode.LINKED,
             n_tasks=2,
             warm_file_cache=True,
             prelink=True,
-        ).run()
+        )).run()
         # prelink(8) precomputes every relocation: no lazy fixups remain.
         assert plain.per_rank[0].lazy_fixups > 0
         assert prelinked.per_rank[0].lazy_fixups == 0
         assert prelinked.visit_s < plain.visit_s
 
     def test_hash_style_reaches_the_multirank_build(self, small_config):
-        sysv = PynamicJob(
+        sysv = PynamicJob(ScenarioSpec(
             config=small_config,
             engine="multirank",
             n_tasks=2,
             warm_file_cache=True,
             hash_style=HashStyle.SYSV,
-        ).run()
-        gnu = PynamicJob(
+        )).run()
+        gnu = PynamicJob(ScenarioSpec(
             config=small_config,
             engine="multirank",
             n_tasks=2,
             warm_file_cache=True,
             hash_style=HashStyle.GNU,
-        ).run()
+        )).run()
         # The two hash walks cost differently; identical totals would
         # mean the knob never reached the resolver.
         assert gnu.total_s != sysv.total_s
 
     def test_analytic_engine_accepts_the_same_knobs(self, small_config):
-        report = PynamicJob(
+        report = PynamicJob(ScenarioSpec(
             config=small_config,
             n_tasks=2,
             warm_file_cache=True,
             prelink=True,
             hash_style=HashStyle.GNU,
-        ).run()
+        )).run()
         assert report.per_rank is None
         assert report.total_s > 0.0

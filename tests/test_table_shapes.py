@@ -13,6 +13,7 @@ from repro.core.generator import generate
 from repro.core.job import PynamicJob
 from repro.core.runner import run_all_modes
 from repro.machine.cluster import Cluster
+from repro.scenario.spec import ScenarioSpec
 from repro.tools.debugger import ParallelDebugger
 
 
@@ -98,11 +99,10 @@ class TestEngineGolden:
         avg_body_instructions=40,
     )
 
-    def _pair(self, **kwargs):
-        analytic = PynamicJob(config=self.CONFIG, **kwargs).run()
-        multirank = PynamicJob(
-            config=self.CONFIG, engine="multirank", **kwargs
-        ).run()
+    def _pair(self, **fields):
+        spec = ScenarioSpec(config=self.CONFIG, **fields)
+        analytic = PynamicJob(spec).run()
+        multirank = PynamicJob(spec.with_(engine="multirank")).run()
         return analytic, multirank
 
     def test_warm_single_rank_matches_within_1_percent(self):

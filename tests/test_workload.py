@@ -201,7 +201,7 @@ class TestWorkloadEngine:
         from repro.core.multirank import MultiRankJob
         from repro.workload.report import cold_start_values
 
-        solo = MultiRankJob.from_scenario(tiny_job()).run()
+        solo = MultiRankJob(tiny_job()).run()
         solo_p95 = percentile(cold_start_values(solo), 95)
         report = WorkloadEngine(
             tiny_workload(n_jobs=2, n_nodes=4)
