@@ -18,7 +18,8 @@ A :class:`DistributionSpec` picks how a job's nodes get the DLL set:
 
 Topologies are pure index arithmetic: :func:`children_map` returns each
 node's children with every parent preceding its children (BFS property),
-which is what lets the overlay wire relay daemons without cycles.
+which is what lets the overlay wire relay daemons without cycles and run
+them in node order, each after its parent.
 """
 
 from __future__ import annotations

@@ -213,6 +213,20 @@ class BufferCache:
         if runs is None:
             runs = self._files[path] = []
         lru = self._lru
+        if not runs:
+            # Nothing of the file is resident (a cold file landing): the
+            # range is one missing segment, newer than every run.
+            tail = lru.prev
+            run = _Run(path, first, last)
+            run.prev = tail
+            run.next = lru
+            tail.next = lru.prev = run
+            runs.append(run)
+            missing = last - first + 1
+            self._resident += missing
+            if self._resident > self.capacity_pages:
+                self._evict(self._resident - self.capacity_pages)
+            return missing
         missing = 0
         page = first
         while page <= last:

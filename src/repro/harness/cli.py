@@ -967,16 +967,20 @@ def main(argv: list[str] | None = None) -> int:
         )
         collected = {}
         for name in names:
-            result = run_experiment(
-                name,
-                engine=args.engine,
-                distribution=_distribution_from_args(args),
-                node_counts=args.node_counts,
-                chunk_bytes=args.chunk_bytes,
-                warm_fraction=args.warm_fraction,
-                cache_dir=args.cache_dir,
-                smoke=True if args.smoke else None,
-            )
+            try:
+                result = run_experiment(
+                    name,
+                    engine=args.engine,
+                    distribution=_distribution_from_args(args),
+                    node_counts=args.node_counts,
+                    chunk_bytes=args.chunk_bytes,
+                    warm_fraction=args.warm_fraction,
+                    cache_dir=args.cache_dir,
+                    smoke=True if args.smoke else None,
+                )
+            except ConfigError as exc:
+                print(f"{exc}", file=sys.stderr)
+                return 1
             collected[name] = result
             print(result.render())
             print()
@@ -1032,14 +1036,19 @@ def main(argv: list[str] | None = None) -> int:
                 if args.cache_dir
                 else SweepRunner()
             )
-            summary = runner.map(
-                eval_staging_point,
-                [spec],
-                keys=[spec.spec_hash],
-                spec_docs=[spec.canonical_json()],
-            )[0]
-            if profiler is not None:
-                profiler.disable()
+            try:
+                summary = runner.map(
+                    eval_staging_point,
+                    [spec],
+                    keys=[spec.spec_hash],
+                    spec_docs=[spec.canonical_json()],
+                )[0]
+            except ConfigError as exc:
+                print(f"{exc}", file=sys.stderr)
+                return 1
+            finally:
+                if profiler is not None:
+                    profiler.disable()
             print(
                 f"staging-only {summary.strategy} pass: "
                 f"{summary.n_files} DLLs to {summary.n_nodes} nodes, "

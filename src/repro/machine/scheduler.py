@@ -3,15 +3,17 @@
 Every consumer of a per-entity virtual clock — the multi-rank job engine
 (:mod:`repro.core.multirank`), the stepped dynamic-linker startup
 (:meth:`DynamicLinker.start_program_steps`), the multirank parallel
-debugger (:mod:`repro.tools.debugger`) — expresses its work as a
-:class:`SteppedProgram`: a resumable generator of fine-grained steps.  The
-:class:`EventScheduler` interleaves those generators on a shared virtual
-timeline with a *least-virtual-time-first* policy: the entity whose clock
-is furthest behind always runs its next step.  Shared-resource requests
-(NFS reads through the timed queueing interface) are therefore issued in
-approximately nondecreasing virtual time, which is what lets contention,
-queueing delay and inter-rank skew *emerge* from the model instead of
-being charged as closed-form corrections.
+debugger (:mod:`repro.tools.debugger`), the distribution overlay's
+source-reading daemons (:mod:`repro.dist.overlay`) — expresses its work
+as a :class:`SteppedProgram`: a resumable generator of fine-grained
+steps.  The :class:`EventScheduler` interleaves those generators on a
+shared virtual timeline with a *least-virtual-time-first* policy: the
+entity whose clock is furthest behind always runs its next step.
+Shared-resource requests (NFS reads through the timed queueing
+interface) are therefore issued in approximately nondecreasing virtual
+time, which is what lets contention, queueing delay and inter-rank skew
+*emerge* from the model instead of being charged as closed-form
+corrections.
 
 The approximation: a step is atomic, so a long step can advance one rank
 past a peer that then issues an earlier-timestamped request.  The timed
@@ -25,9 +27,9 @@ from __future__ import annotations
 
 import gc
 import heapq
-import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Generator, Sequence, TypeVar
+from typing import Callable, Generator, Iterator, Sequence, TypeVar
 
 from repro.errors import ConfigError
 
@@ -55,44 +57,6 @@ class EngineStats:
     nfs_timeline_bookings: int
     pfs_timeline_windows: int
     pfs_timeline_bookings: int
-
-
-class Mailbox:
-    """Timestamped messages between stepped programs on one scheduler.
-
-    A sender *delivers* a payload with the virtual time at which it
-    arrives; the receiver *receives* messages in arrival order, advancing
-    its own clock to the arrival time.  Because the scheduler interleaves
-    tasks least-virtual-time-first, a receiver whose mailbox is empty
-    simply yields (its ``now`` callable should then report a time at or
-    after its sender's clock, so the sender runs first) and re-checks on
-    its next step — the blocking-receive idiom the distribution overlay's
-    relay daemons use.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, object]] = []
-        self._seq = itertools.count()
-
-    def deliver(self, arrival_s: float, payload: object) -> None:
-        """Enqueue ``payload`` arriving at virtual time ``arrival_s``."""
-        if arrival_s < 0:
-            raise ConfigError(f"negative arrival time: {arrival_s}")
-        heapq.heappush(self._heap, (arrival_s, next(self._seq), payload))
-
-    def peek_arrival(self) -> float | None:
-        """Arrival time of the earliest queued message (None if empty)."""
-        return self._heap[0][0] if self._heap else None
-
-    def receive(self) -> tuple[float, object] | None:
-        """Pop the earliest message as ``(arrival_s, payload)``, or None."""
-        if not self._heap:
-            return None
-        arrival, _, payload = heapq.heappop(self._heap)
-        return arrival, payload
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
 
 class SteppedProgram:
@@ -125,6 +89,27 @@ def drain(steps: Generator[None, None, _T]) -> _T:
             next(steps)
         except StopIteration as stop:
             return stop.value
+
+
+@contextmanager
+def paused_gc() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the enclosed block.
+
+    A loop allocating millions of short-lived objects while the live
+    population (resident cache runs, landed maps) keeps growing makes the
+    collector rescan the whole heap over and over for nothing — measured
+    at ~a third of a large staging run's wall time.  Cycles the block
+    creates wait for the collector's next run after it exits.  Nests:
+    only the outermost block re-enables the collector.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class RankTask:
@@ -222,36 +207,27 @@ class EventScheduler:
         heapq.heapify(heap)
         # The pop/step/push cycle runs once per step of every task on the
         # timeline — inline ``RankTask.step`` and keep the counters local
-        # (flushed even if a task raises) to cut per-step overhead.
-        # Cyclic GC is paused for the duration: an event loop allocating
-        # millions of short-lived heap entries while the live population
-        # (resident cache pages, landed maps) keeps growing makes the
-        # collector rescan the whole heap over and over for nothing —
-        # measured at ~a third of a large staging run's wall time.  Any
-        # cycles the run creates are collected after it returns.
+        # (flushed even if a task raises) to cut per-step overhead.  The
+        # loop allocates a heap entry per step: see ``paused_gc``.
         heappop, heappush = heapq.heappop, heapq.heappush
         steps_run = 0
         completed = 0
         ranks = 0
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
         try:
-            while heap:
-                _, rank, task = heappop(heap)
-                steps_run += 1
-                try:
-                    next(task._steps)
-                except StopIteration:
-                    task.done = True
-                    completed += 1
-                    ranks += task.multiplicity
-                else:
-                    task.steps_run += 1
-                    heappush(heap, (task._now(), rank, task))
+            with paused_gc():
+                while heap:
+                    _, rank, task = heappop(heap)
+                    steps_run += 1
+                    try:
+                        next(task._steps)
+                    except StopIteration:
+                        task.done = True
+                        completed += 1
+                        ranks += task.multiplicity
+                    else:
+                        task.steps_run += 1
+                        heappush(heap, (task._now(), rank, task))
         finally:
-            if gc_was_enabled:
-                gc.enable()
             self.steps_run += steps_run
             self.tasks_completed += completed
             self.ranks_completed += ranks

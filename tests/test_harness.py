@@ -95,9 +95,11 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_run_unknown_experiment_raises(self):
-        with pytest.raises(ConfigError):
-            main(["run", "bogus"])
+    def test_run_unknown_experiment_exits_1(self, capsys):
+        assert main(["run", "bogus"]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("unknown experiment 'bogus'; available: ")
 
     def test_run_json_output(self, capsys, tmp_path):
         out_path = tmp_path / "bench.json"
@@ -136,15 +138,20 @@ class TestCli:
         # The per-rank report lines must NOT appear: the job was skipped.
         assert "multirank job:" not in out
 
-    def test_job_staging_only_needs_a_distribution(self):
-        with pytest.raises(ConfigError, match="staging cell"):
-            main(
-                [
-                    "job", *self.SMALL,
-                    "--set", "n_tasks=4", "--set", "engine=multirank",
-                    "--staging-only",
-                ]
-            )
+    def test_job_staging_only_needs_a_distribution(self, capsys):
+        assert main(
+            [
+                "job", *self.SMALL,
+                "--set", "n_tasks=4", "--set", "engine=multirank",
+                "--staging-only",
+            ]
+        ) == 1
+        # The spec hash line, then the error: no traceback.
+        spec_line, error = capsys.readouterr().err.strip().splitlines()
+        assert spec_line.startswith("spec ")
+        assert error == (
+            "distribution: a staging cell needs an overlay to stage with"
+        )
 
     def test_job_profile_prints_hot_functions(self, capsys):
         assert main(
