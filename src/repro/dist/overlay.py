@@ -184,7 +184,11 @@ class RelayDaemon(SteppedProgram):
         #: ``(arrival_s, chunk)`` for every chunk the parent sent here,
         #: in send order, which is also arrival order.
         self.stream: list[tuple[float, RelayChunk]] = []
-        self.parent: "RelayDaemon | None" = None
+        #: The parent's index in ``DistributionOverlay.daemons`` (None
+        #: for a source reader).  An index, not the daemon: the tree is
+        #: held one way only, so a finished pass has no reference cycle
+        #: and falls to reference counting.
+        self.parent_index: "int | None" = None
         self.children: list["RelayDaemon"] = []
         #: Paths whose images the node's cache held before staging began
         #: (set by the overlay) — served to the subtree, never awaited.
@@ -325,7 +329,7 @@ class RelayDaemon(SteppedProgram):
         the egress horizon is kept in a local: only this loop books the
         link while it runs.
         """
-        if self.parent is None:
+        if self.parent_index is None:
             raise DistributionError(
                 f"relay daemon {self.index} has no parent and no source"
             )
@@ -399,7 +403,7 @@ class RelayDaemon(SteppedProgram):
             raise DistributionError(
                 f"node {self.index} still waits for "
                 f"{n_images - len(landed)} images but the stream from "
-                f"its parent {self.parent.index} has ended"
+                f"its parent {self.parent_index} has ended"
             )
 
     def _relay_image(self, image: FileImage) -> Generator[None, None, None]:
@@ -523,6 +527,9 @@ class DistributionOverlay:
             for image in images
         ]
 
+    # The pass allocates a cache run and a stream entry per chunk and
+    # leaves no cycle behind: see ``paused_gc``.
+    @paused_gc()
     def stage(
         self, images: Sequence[FileImage], start_s: float = 0.0
     ) -> StagingPlan:
@@ -634,7 +641,7 @@ class DistributionOverlay:
             parent = self.daemons[parent_index]
             for child_index in kids:
                 child = self.daemons[child_index]
-                child.parent = parent
+                child.parent_index = parent_index
                 parent.children.append(child)
         # Only the source readers contend on a shared timeline.  Each
         # relay then lands its parent's finished stream, parents first.
@@ -645,13 +652,10 @@ class DistributionOverlay:
                 if daemon.reads_source
             ]
         )
-        # Relays allocate a cache run and a stream entry per chunk: see
-        # ``paused_gc``.
-        with paused_gc():
-            for daemon in self.daemons:
-                if not daemon.reads_source:
-                    drain(daemon.steps())
-                    daemon.stream = []
+        for daemon in self.daemons:
+            if not daemon.reads_source:
+                drain(daemon.steps())
+                daemon.stream = []
         recovery_events: tuple[RecoveryEvent, ...] = ()
         refetched_bytes = 0
         if faults is not None and any(

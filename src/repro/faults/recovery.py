@@ -71,31 +71,38 @@ class RecoveryEvent:
         }
 
 
-def _live_ancestor(daemon):
+def _parent(daemon, daemons):
+    """The daemon's parent in the original tree (None at a source)."""
+    index = daemon.parent_index
+    return None if index is None else daemons[index]
+
+
+def _live_ancestor(daemon, daemons):
     """First non-crashed ancestor walking up the original tree."""
-    ancestor = daemon.parent
+    ancestor = _parent(daemon, daemons)
     while ancestor is not None and ancestor.crashed:
-        ancestor = ancestor.parent
+        ancestor = _parent(ancestor, daemons)
     return ancestor
 
 
-def _first_crashed(daemon):
+def _first_crashed(daemon, daemons):
     """The daemon itself if crashed, else the first crashed ancestor."""
     if daemon.crashed:
         return daemon
-    ancestor = daemon.parent
+    ancestor = _parent(daemon, daemons)
     while ancestor is not None:
         if ancestor.crashed:
             return ancestor
-        ancestor = ancestor.parent
+        ancestor = _parent(ancestor, daemons)
     return None
 
 
 def recover_overlay(daemons, images, source_images, detection_s):
     """Re-attach and resume every daemon with missing bytes.
 
-    Mutates the daemons in place (landed times, received prefixes,
-    buffer caches, egress bookings) and returns
+    ``daemons[i]`` is node ``i``'s daemon, and each names its parent by
+    that index (``parent_index``).  Mutates the daemons in place (landed
+    times, received prefixes, buffer caches, egress bookings) and returns
     ``(events, refetched_bytes_total)``.  Daemons are visited in
     ascending node index, so a serving ancestor has always finished its
     own recovery before any descendant reads from it.
@@ -114,21 +121,21 @@ def recover_overlay(daemons, images, source_images, detection_s):
         ]
         if not missing:
             continue
-        cause = _first_crashed(daemon)
+        cause = _first_crashed(daemon, daemons)
         if cause is not None:
             detected_s = cause.crash_s + detection_s
         else:
             # The feed stalled behind an upstream crash recovered at the
             # parent: resume once the parent itself came back.
-            parent = daemon.parent
-            if parent is None or parent.index not in resumed_at:
+            parent = daemon.parent_index
+            if parent is None or parent not in resumed_at:
                 raise DistributionError(
                     f"node {daemon.index} is missing {len(missing)} images "
                     f"with no crashed ancestor and no recovered parent — "
                     f"the staging pass lost bytes"
                 )
-            detected_s = resumed_at[parent.index] + detection_s
-        server = _live_ancestor(daemon)
+            detected_s = resumed_at[parent] + detection_s
+        server = _live_ancestor(daemon, daemons)
         refetched = 0
         completed_s = detected_s
         if server is None:

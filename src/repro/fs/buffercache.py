@@ -8,7 +8,7 @@ pages, charges missing pages to the file's backing file system, and serves
 resident pages at memory-copy bandwidth.
 
 Internals: the page-level LRU order is stored as *runs*.  A run is
-``(path, first_page, last_page)``, and the runs sit in a doubly linked
+``(path, first_page, last_page)``, and the runs sit in a singly linked
 list, oldest first; the resident pages in LRU order are the runs' pages
 concatenated.  That is exact, not an approximation: a read visits its
 pages in ascending order and each one moves to the tail, so the pages a
@@ -18,6 +18,13 @@ that starts right after the tail run of the same file extends that run,
 so a file staged chunk by chunk ends up as one run.  Each file keeps its
 runs sorted by first page, and ``bisect`` over their starts finds the
 runs a range overlaps.  Eviction trims or unlinks runs at the head.
+
+The list links each run to the next newer one only, and the cache holds
+the newest, so no run is ever reachable from itself: a dropped cache is
+freed by reference counting, with no work for the cyclic collector.
+Without back links, a run leaves the middle of the list by taking over
+its successor's pages and link; the successor object is what goes, and
+its file's index is re-pointed at the survivor.
 
 At scale this matters: a node holding ~500 DLLs keeps about one run per
 file rather than one entry per 4 KiB page, which is millions of entries
@@ -36,14 +43,16 @@ from repro.units import GIB
 
 
 class _Run:
-    """Resident pages ``first..last`` of ``path``: a link of the LRU list."""
+    """Resident pages ``first..last`` of ``path``: a link of the LRU
+    list.  ``next`` is the next newer run (None for the newest)."""
 
-    __slots__ = ("path", "first", "last", "prev", "next")
+    __slots__ = ("path", "first", "last", "next")
 
     def __init__(self, path: "str | None", first: int, last: int) -> None:
         self.path = path
         self.first = first
         self.last = last
+        self.next: "_Run | None" = None
 
 
 #: The sort key of a file's run index.
@@ -70,10 +79,11 @@ class BufferCache:
         self.hit_latency_s = hit_latency_s
         #: path -> its resident runs, sorted by first page.
         self._files: dict[str, list[_Run]] = {}
-        # Sentinel of the circular LRU list: ``next`` is the oldest run,
-        # ``prev`` the newest.  Its path is None, so no range extends it.
+        # Head sentinel of the LRU list: ``next`` is the oldest run.  Its
+        # path is None, so no range extends it.
         self._lru = _Run(None, 0, -1)
-        self._lru.prev = self._lru.next = self._lru
+        #: The newest run (the sentinel when nothing is resident).
+        self._tail = self._lru
         self._resident = 0
         self.hits = 0
         self.misses = 0
@@ -180,7 +190,8 @@ class BufferCache:
         """Evict everything — used to model a cold (first) invocation."""
         for runs in self._files.values():
             runs.clear()
-        self._lru.prev = self._lru.next = self._lru
+        self._lru.next = None
+        self._tail = self._lru
         self._resident = 0
 
     def reset_counters(self) -> None:
@@ -191,9 +202,8 @@ class BufferCache:
     def runs(self) -> Iterator[tuple[str, int, int]]:
         """The resident runs as ``(path, first_page, last_page)``, oldest
         first."""
-        lru = self._lru
-        run = lru.next
-        while run is not lru:
+        run = self._lru.next
+        while run is not None:
             yield run.path, run.first, run.last
             run = run.next
 
@@ -212,15 +222,12 @@ class BufferCache:
         runs = self._files.get(path)
         if runs is None:
             runs = self._files[path] = []
-        lru = self._lru
         if not runs:
             # Nothing of the file is resident (a cold file landing): the
             # range is one missing segment, newer than every run.
-            tail = lru.prev
             run = _Run(path, first, last)
-            run.prev = tail
-            run.next = lru
-            tail.next = lru.prev = run
+            self._tail.next = run
+            self._tail = run
             runs.append(run)
             missing = last - first + 1
             self._resident += missing
@@ -234,7 +241,7 @@ class BufferCache:
             if i >= 0 and runs[i].last >= page:
                 run = runs[i]
                 end = run.last if run.last < last else last
-                if run is not lru.prev or end != run.last:
+                if run is not self._tail or end != run.last:
                     i = self._cut(runs, i, run, page, end)
                     self._append(runs, i, path, page, end)
                 # else: already the newest pages, in ascending order.
@@ -261,17 +268,27 @@ class BufferCache:
         if run.first != first:
             if run.last != last:
                 rest = _Run(run.path, last + 1, run.last)
-                rest.prev = run
                 rest.next = run.next
-                run.next.prev = rest
                 run.next = rest
+                if self._tail is run:
+                    self._tail = rest
                 runs.insert(i + 1, rest)
             run.last = first - 1
             return i + 1
         if run.last == last:
-            run.prev.next = run.next
-            run.next.prev = run.prev
+            # The whole run goes.  It is not the newest (the caller skips
+            # touching the newest run whole), so it has a successor: move
+            # the successor's pages and link into it and drop the
+            # successor object instead.  ``index`` may be ``runs``
+            # itself; its slot is replaced before ``del`` shifts any.
+            after = run.next
+            index = self._files[after.path]
+            index[bisect_left(index, after.first, key=_first_page)] = run
             del runs[i]
+            run.path, run.first, run.last = after.path, after.first, after.last
+            run.next = after.next
+            if self._tail is after:
+                self._tail = run
         else:
             run.first = last + 1
         return i
@@ -281,19 +298,21 @@ class BufferCache:
     ) -> None:
         """Make pages ``first..last`` of ``path`` (none resident) the
         newest; ``runs[i]`` is their place in the path's index."""
-        lru = self._lru
-        tail = lru.prev
+        tail = self._tail
         if tail.path == path and tail.last == first - 1:
             tail.last = last
             return
         run = _Run(path, first, last)
-        run.prev = tail
-        run.next = lru
-        tail.next = lru.prev = run
+        tail.next = run
+        self._tail = run
         runs.insert(i, run)
 
     def _evict(self, n_pages: int) -> None:
-        """Evict the ``n_pages`` oldest pages."""
+        """Evict the ``n_pages`` oldest pages.
+
+        Never all of them: the capacity is at least a page, so the
+        newest page, and with it the tail run, always stays.
+        """
         self._resident -= n_pages
         lru = self._lru
         while n_pages:
@@ -301,7 +320,6 @@ class BufferCache:
             size = run.last - run.first + 1
             if size <= n_pages:
                 lru.next = run.next
-                run.next.prev = lru
                 runs = self._files[run.path]
                 del runs[bisect_left(runs, run.first, key=_first_page)]
                 n_pages -= size

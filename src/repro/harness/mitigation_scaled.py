@@ -32,6 +32,7 @@ from repro.harness.experiments import ExperimentResult, register
 from repro.harness.mitigation import _note_cache_stats
 from repro.harness.sweep import SweepRunner, sweep_scenarios
 from repro.machine.cluster import Cluster
+from repro.machine.scheduler import paused_gc
 from repro.rng import SeededRng
 from repro.scenario.presets import scenario_preset
 from repro.scenario.spec import ScenarioSpec
@@ -73,6 +74,9 @@ def _benchmark(config) -> "object":
     return generate(config)
 
 
+# Building the cluster and the benchmark allocates as much as the pass
+# itself, and neither leaves a cycle behind: see ``paused_gc``.
+@paused_gc()
 def eval_staging_point(spec: ScenarioSpec) -> StagingSummary:
     """Evaluate one staging-only grid cell (top-level for pickling).
 

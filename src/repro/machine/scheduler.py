@@ -93,14 +93,18 @@ def drain(steps: Generator[None, None, _T]) -> _T:
 
 @contextmanager
 def paused_gc() -> Iterator[None]:
-    """Pause the cyclic garbage collector for the enclosed block.
+    """Pause the cyclic garbage collector for the enclosed block (or,
+    as ``@paused_gc()``, the decorated function).
 
     A loop allocating millions of short-lived objects while the live
     population (resident cache runs, landed maps) keeps growing makes the
     collector rescan the whole heap over and over for nothing — measured
-    at ~a third of a large staging run's wall time.  Cycles the block
-    creates wait for the collector's next run after it exits.  Nests:
-    only the outermost block re-enables the collector.
+    at ~a third of a large staging run's wall time.  Pausing defers no
+    work because the staging pass creates no reference cycles: a buffer
+    cache links its runs one way, and relay daemons name their parent
+    by index, so a finished pass is freed by reference counting the
+    moment it is dropped.  ``tests/test_staging_refcount.py`` holds
+    that.  Nests: only the outermost block re-enables the collector.
     """
     was_enabled = gc.isenabled()
     if was_enabled:
@@ -208,7 +212,9 @@ class EventScheduler:
         # The pop/step/push cycle runs once per step of every task on the
         # timeline — inline ``RankTask.step`` and keep the counters local
         # (flushed even if a task raises) to cut per-step overhead.  The
-        # loop allocates a heap entry per step: see ``paused_gc``.
+        # loop allocates a heap entry per step, and no entry is part of
+        # a cycle, so pausing the collector leaves it nothing to catch
+        # up on: see ``paused_gc``.
         heappop, heappush = heapq.heappop, heapq.heappush
         steps_run = 0
         completed = 0

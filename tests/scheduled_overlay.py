@@ -106,6 +106,8 @@ class RelayDaemon(SteppedProgram):
         self.chunk_bytes = chunk_bytes
         self.inbox = Mailbox()
         self.parent: "RelayDaemon | None" = None
+        #: What ``recover_overlay`` walks up the tree by.
+        self.parent_index: "int | None" = None
         self.children: list["RelayDaemon"] = []
         #: Paths whose images the node's cache held before staging began
         #: (set by the overlay) — served to the subtree, never awaited.
@@ -522,6 +524,7 @@ class ScheduledOverlay(DistributionOverlay):
             for child_index in kids:
                 child = self.daemons[child_index]
                 child.parent = parent
+                child.parent_index = parent_index
                 parent.children.append(child)
         tasks = [
             RankTask(daemon.index, daemon.steps(), now=daemon.now)

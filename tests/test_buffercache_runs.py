@@ -102,11 +102,14 @@ def _check_runs(cache: BufferCache) -> None:
 
 
 def _lru_links(cache: BufferCache):
+    """The runs on the one-way LRU list, oldest first; the list must end
+    at the cache's tail."""
+    tail = cache._lru
     run = cache._lru.next
-    while run is not cache._lru:
-        assert run.next.prev is run
+    while run is not None:
         yield run
-        run = run.next
+        tail, run = run, run.next
+    assert tail is cache._tail
 
 
 def _ranged_op(name):
