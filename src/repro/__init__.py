@@ -17,7 +17,7 @@ from repro.core.config import PynamicConfig
 from repro.core.generator import generate
 from repro.core.builds import BuildMode, build_benchmark
 from repro.core.driver import DriverReport, PynamicDriver
-from repro.core.runner import BenchmarkRunner, RunResult, run_all_modes
+from repro.core.runner import BenchmarkRunner, RunResult
 from repro.core import presets
 from repro.scenario import Scenario, ScenarioSpec, scenario_preset, simulate
 
@@ -35,7 +35,6 @@ __all__ = [
     "build_benchmark",
     "generate",
     "presets",
-    "run_all_modes",
     "scenario_preset",
     "simulate",
     "__version__",

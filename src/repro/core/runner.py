@@ -118,22 +118,3 @@ class BenchmarkRunner:
             cluster=cluster,
             linker=linker,
         )
-
-
-def run_all_modes(
-    config: PynamicConfig,
-    warm_file_cache: bool = True,
-) -> dict[BuildMode, RunResult]:
-    """Run the three Table I build configurations on one generated spec.
-
-    Each mode gets a fresh cluster (fresh caches) but the identical
-    generated benchmark, exactly as the paper compares builds.
-    """
-    spec = generate(config)
-    results: dict[BuildMode, RunResult] = {}
-    for mode in BuildMode:
-        runner = BenchmarkRunner(
-            spec=spec, mode=mode, warm_file_cache=warm_file_cache
-        )
-        results[mode] = runner.run()
-    return results

@@ -7,11 +7,7 @@ repro.harness.cli run all`` reproduces everything in one go.
 """
 
 from repro.harness.experiments import ExperimentResult, REGISTRY, register, run_experiment
-from repro.harness.sweep import (
-    SweepRunner,
-    sweep_mode_reports,
-    sweep_scenarios,
-)
+from repro.harness.sweep import SweepRunner, sweep_scenarios
 
 __all__ = [
     "ExperimentResult",
@@ -19,6 +15,5 @@ __all__ = [
     "SweepRunner",
     "register",
     "run_experiment",
-    "sweep_mode_reports",
     "sweep_scenarios",
 ]

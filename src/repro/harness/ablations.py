@@ -22,8 +22,8 @@ from repro.core import presets
 from repro.core.builds import BuildMode, build_benchmark
 from repro.core.config import PynamicConfig
 from repro.core.generator import generate
-from repro.core.runner import BenchmarkRunner
 from repro.harness.experiments import ExperimentResult, register
+from repro.harness.sweep import DEFAULT_RUNNER, SweepRunner
 from repro.machine.cluster import Cluster
 from repro.machine.osprofile import linux_chaos
 from repro.scenario.spec import ScenarioSpec
@@ -41,7 +41,9 @@ def _shrunk(config: PynamicConfig) -> PynamicConfig:
 
 
 @register("ablation_coverage")
-def run_coverage(smoke: bool = False) -> ExperimentResult:
+def run_coverage(
+    smoke: bool = False, runner: SweepRunner = DEFAULT_RUNNER
+) -> ExperimentResult:
     """A1: visit cost vs. configured code coverage."""
     result = ExperimentResult(
         name="Code-coverage ablation (lazy binding pays per visited function)",
@@ -50,15 +52,19 @@ def run_coverage(smoke: bool = False) -> ExperimentResult:
     base = replace(presets.table1_config(), n_modules=20, n_utilities=15)
     if smoke:
         base = _shrunk(base)
+    coverages = (0.25, 0.5, 1.0)
+    specs = [
+        ScenarioSpec(
+            config=replace(base, coverage=coverage),
+            mode=BuildMode.LINKED,
+            warm_file_cache=True,
+        )
+        for coverage in coverages
+    ]
     rows = []
     visits = {}
-    for coverage in (0.25, 0.5, 1.0):
-        config = replace(base, coverage=coverage)
-        result.declare_scenario(
-            ScenarioSpec(config=config, mode=BuildMode.LINKED, warm_file_cache=True)
-        )
-        spec_runner = BenchmarkRunner(config=config, mode=BuildMode.LINKED)
-        report = spec_runner.run().report
+    for coverage, job in zip(coverages, result.sweep(specs, runner)):
+        report = job.rank0
         visits[coverage] = report.visit_s
         rows.append(
             [coverage, report.visit_s, report.lazy_fixups, report.functions_visited]
@@ -129,7 +135,9 @@ def run_randomization(smoke: bool = False) -> ExperimentResult:
 
 
 @register("ablation_name_length")
-def run_name_length(smoke: bool = False) -> ExperimentResult:
+def run_name_length(
+    smoke: bool = False, runner: SweepRunner = DEFAULT_RUNNER
+) -> ExperimentResult:
     """A3: string-table size and import cost vs. symbol-name length."""
     result = ExperimentResult(
         name="Symbol-name-length ablation",
@@ -138,16 +146,20 @@ def run_name_length(smoke: bool = False) -> ExperimentResult:
     base = replace(presets.table1_config(), n_modules=12, n_utilities=9)
     if smoke:
         base = _shrunk(base)
+    specs = [
+        ScenarioSpec(
+            config=replace(base, name_length=name_length),
+            warm_file_cache=True,
+        )
+        for name_length in (32, 128, 236)
+    ]
     rows = []
     imports = {}
     strtabs = {}
-    for name_length in (32, 128, 236):
-        config = replace(base, name_length=name_length)
-        result.declare_scenario(
-            ScenarioSpec(config=config, warm_file_cache=True)
-        )
-        strtab_mb = analytic_totals(config).as_mb()["String Table"]
-        report = BenchmarkRunner(config=config, mode=BuildMode.VANILLA).run().report
+    for spec, job in zip(specs, result.sweep(specs, runner)):
+        name_length = spec.config.name_length
+        strtab_mb = analytic_totals(spec.config).as_mb()["String Table"]
+        report = job.rank0
         imports[name_length] = report.import_s
         strtabs[name_length] = strtab_mb
         rows.append([name_length, strtab_mb, report.import_s])
@@ -162,7 +174,9 @@ def run_name_length(smoke: bool = False) -> ExperimentResult:
 
 
 @register("ablation_hash_style")
-def run_hash_style(smoke: bool = False) -> ExperimentResult:
+def run_hash_style(
+    smoke: bool = False, runner: SweepRunner = DEFAULT_RUNNER
+) -> ExperimentResult:
     """A4: SysV hash (2007) vs. DT_GNU_HASH (the later fix).
 
     The GNU hash's Bloom filter rejects objects that cannot define a
@@ -179,20 +193,20 @@ def run_hash_style(smoke: bool = False) -> ExperimentResult:
     config = replace(presets.table1_config(), n_modules=20, n_utilities=15)
     if smoke:
         config = _shrunk(config)
+    specs = [
+        ScenarioSpec(
+            config=config,
+            mode=BuildMode.LINKED,
+            warm_file_cache=True,
+            hash_style=style,
+        )
+        for style in (HashStyle.SYSV, HashStyle.GNU)
+    ]
     rows = []
     visits = {}
-    for style in (HashStyle.SYSV, HashStyle.GNU):
-        result.declare_scenario(
-            ScenarioSpec(
-                config=config,
-                mode=BuildMode.LINKED,
-                warm_file_cache=True,
-                hash_style=style,
-            )
-        )
-        report = BenchmarkRunner(
-            config=config, mode=BuildMode.LINKED, hash_style=style
-        ).run().report
+    for spec, job in zip(specs, result.sweep(specs, runner)):
+        style = spec.hash_style
+        report = job.rank0
         visits[style] = report.visit_s
         rows.append(
             [
@@ -218,7 +232,9 @@ def run_hash_style(smoke: bool = False) -> ExperimentResult:
 
 
 @register("ablation_body_memory")
-def run_body_memory(smoke: bool = False) -> ExperimentResult:
+def run_body_memory(
+    smoke: bool = False, runner: SweepRunner = DEFAULT_RUNNER
+) -> ExperimentResult:
     """A5: function-body memory footprint (Section V body variation).
 
     "We also could support varying the generated function bodies to
@@ -235,15 +251,19 @@ def run_body_memory(smoke: bool = False) -> ExperimentResult:
     base = replace(presets.table1_config(), n_modules=16, n_utilities=12)
     if smoke:
         base = _shrunk(base)
+    footprints = (0, 512, 4096)
+    specs = [
+        ScenarioSpec(
+            config=replace(base, memory_bytes_per_function=footprint),
+            warm_file_cache=True,
+        )
+        for footprint in footprints
+    ]
     rows = []
     visits = {}
     misses = {}
-    for footprint in (0, 512, 4096):
-        config = replace(base, memory_bytes_per_function=footprint)
-        result.declare_scenario(
-            ScenarioSpec(config=config, warm_file_cache=True)
-        )
-        report = BenchmarkRunner(config=config, mode=BuildMode.VANILLA).run().report
+    for footprint, job in zip(footprints, result.sweep(specs, runner)):
+        report = job.rank0
         visits[footprint] = report.visit_s
         misses[footprint] = report.counters["visit"].l1d_misses
         rows.append(
@@ -260,7 +280,9 @@ def run_body_memory(smoke: bool = False) -> ExperimentResult:
 
 
 @register("ablation_prelink")
-def run_prelink(smoke: bool = False) -> ExperimentResult:
+def run_prelink(
+    smoke: bool = False, runner: SweepRunner = DEFAULT_RUNNER
+) -> ExperimentResult:
     """A7: prelink(8) — install-time relocation precomputation.
 
     The contemporary system-software answer to Pynamic-class startup
@@ -276,21 +298,21 @@ def run_prelink(smoke: bool = False) -> ExperimentResult:
     config = replace(presets.table1_config(), n_modules=20, n_utilities=15)
     if smoke:
         config = _shrunk(config)
+    strategies = {
+        "link (lazy)": (BuildMode.LINKED, False),
+        "link+bind": (BuildMode.LINKED_BIND_NOW, False),
+        "link+prelink": (BuildMode.LINKED, True),
+    }
+    specs = [
+        ScenarioSpec(
+            config=config, mode=mode, warm_file_cache=True, prelink=prelink
+        )
+        for mode, prelink in strategies.values()
+    ]
     rows = []
     timings = {}
-    for label, mode, prelink in (
-        ("link (lazy)", BuildMode.LINKED, False),
-        ("link+bind", BuildMode.LINKED_BIND_NOW, False),
-        ("link+prelink", BuildMode.LINKED, True),
-    ):
-        result.declare_scenario(
-            ScenarioSpec(
-                config=config, mode=mode, warm_file_cache=True, prelink=prelink
-            )
-        )
-        report = BenchmarkRunner(
-            config=config, mode=mode, prelink=prelink
-        ).run().report
+    for label, job in zip(strategies, result.sweep(specs, runner)):
+        report = job.rank0
         timings[label] = report
         rows.append(
             [label, report.startup_s, report.import_s, report.visit_s, report.lazy_fixups]

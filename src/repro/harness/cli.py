@@ -640,9 +640,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=(
-            "disk-backed sweep cache for experiments that take one "
-            "(mitigation, mitigation_scaled): large grid cells replay "
-            "across processes instead of re-simulating"
+            "results warehouse directory for every experiment's "
+            "simulated cells: each cell is stored under its spec hash "
+            "and replays across processes instead of re-simulating, "
+            "and the results gain sweep_cache_* metrics"
         ),
     )
     run_parser.add_argument(
@@ -1031,18 +1032,9 @@ def main(argv: list[str] | None = None) -> int:
             from repro.harness.mitigation_scaled import eval_staging_point
             from repro.harness.sweep import SweepRunner
 
-            runner = (
-                SweepRunner(cache_dir=args.cache_dir)
-                if args.cache_dir
-                else SweepRunner()
-            )
+            runner = SweepRunner(cache_dir=args.cache_dir or None)
             try:
-                summary = runner.map(
-                    eval_staging_point,
-                    [spec],
-                    keys=[spec.spec_hash],
-                    spec_docs=[spec.canonical_json()],
-                )[0]
+                [summary] = runner.map_specs(eval_staging_point, [spec])
             except ConfigError as exc:
                 print(f"{exc}", file=sys.stderr)
                 return 1

@@ -6,6 +6,12 @@ Experiments are registered callables producing an
 :func:`run_experiment` forwards only the overrides a factory's signature
 actually declares, so the CLI can pass one set of knobs to every
 experiment and each picks up what it understands.
+
+A simulated cell is one :class:`ScenarioSpec`.  A factory that
+simulates takes ``runner=`` and evaluates its cells with
+:meth:`ExperimentResult.sweep`, which declares exactly the specs it
+runs, so every cell of the ``--json`` ``scenarios`` block is one
+warehouse row.
 """
 
 from __future__ import annotations
@@ -16,6 +22,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.errors import ConfigError
+from repro.harness.sweep import (
+    DEFAULT_RUNNER,
+    SweepRunner,
+    _eval_scenario_point,
+)
 from repro.perf.report import render_table
 
 
@@ -43,6 +54,17 @@ class ExperimentResult:
             data = spec.to_dict()  # type: ignore[attr-defined]
             if data not in self.scenarios:
                 self.scenarios.append(data)
+
+    def sweep(
+        self,
+        specs: "Sequence[object]",
+        runner: SweepRunner,
+        evaluate: Callable[[object], object] = _eval_scenario_point,
+    ) -> list:
+        """Declare ``specs`` and evaluate each through ``runner``: a full
+        job by default, or e.g. a staging-only pass."""
+        self.declare_scenario(*specs)
+        return runner.map_specs(evaluate, specs)
 
     def add_table(
         self,
@@ -116,8 +138,18 @@ def _import_experiments() -> None:
     )
 
 
-def run_experiment(name: str, **overrides: object) -> ExperimentResult:
+def run_experiment(
+    name: str, cache_dir: "str | None" = None, **overrides: object
+) -> ExperimentResult:
     """Run a registered experiment by name.
+
+    Every simulated cell goes through one :class:`SweepRunner`:
+    ``SweepRunner(cache_dir=...)`` when ``cache_dir`` is given (the
+    cells memoize in that directory's results warehouse and the result
+    gains ``sweep_cache_hits``/``misses``/``corrupt`` metrics), else the
+    process-wide :data:`DEFAULT_RUNNER`.  It is passed to every factory
+    that takes ``runner``; ``cache_dir`` is dropped silently elsewhere,
+    since those experiments simulate no cell.
 
     ``overrides`` (e.g. ``engine="multirank"``,
     ``distribution=DistributionSpec(...)``) are forwarded to the
@@ -153,7 +185,26 @@ def run_experiment(name: str, **overrides: object) -> ExperimentResult:
             "the overrides were ignored",
             stacklevel=2,
         )
-    return factory(**kwargs)
+    if "runner" not in accepted:
+        return factory(**kwargs)
+    if not cache_dir:
+        return factory(runner=DEFAULT_RUNNER, **kwargs)
+    runner = SweepRunner(cache_dir=cache_dir)
+    with runner.warehouse:
+        result = factory(runner=runner, **kwargs)
+    # A nonzero corrupt count means warehouse rows existed but could not
+    # be replayed (torn payloads, schema-version drift): shown here
+    # instead of silently inflating the miss column.
+    result.metrics["sweep_cache_hits"] = float(runner.hits)
+    result.metrics["sweep_cache_misses"] = float(runner.misses)
+    result.metrics["sweep_cache_corrupt"] = float(runner.corrupt)
+    if runner.corrupt:
+        result.notes.append(
+            f"sweep cache reported {runner.corrupt} corrupt disk "
+            f"entr{'y' if runner.corrupt == 1 else 'ies'} (recomputed; "
+            f"see the warehouse warnings above)"
+        )
+    return result
 
 
 def all_experiment_names() -> list[str]:

@@ -16,12 +16,16 @@ from dataclasses import replace
 from repro.core import presets
 from repro.errors import ConfigError
 from repro.harness.experiments import ExperimentResult, register
-from repro.harness.sweep import sweep_scenarios
+from repro.harness.sweep import DEFAULT_RUNNER, SweepRunner
 from repro.scenario.spec import ScenarioSpec
 
 
 @register("job_scaling")
-def run(engine: str | None = None, smoke: bool = False) -> ExperimentResult:
+def run(
+    engine: str | None = None,
+    smoke: bool = False,
+    runner: SweepRunner = DEFAULT_RUNNER,
+) -> ExperimentResult:
     """Cold job import time vs. task count (Sections II, V).
 
     ``engine`` restricts the study to one engine's table (``"analytic"``
@@ -44,8 +48,7 @@ def run(engine: str | None = None, smoke: bool = False) -> ExperimentResult:
         specs = [
             ScenarioSpec(config=config, n_tasks=n) for n in task_counts
         ]
-        result.declare_scenario(*specs)
-        reports = dict(zip(task_counts, sweep_scenarios(specs)))
+        reports = dict(zip(task_counts, result.sweep(specs, runner)))
         rows = []
         for n_tasks in task_counts:
             report = reports[n_tasks]
@@ -78,8 +81,7 @@ def run(engine: str | None = None, smoke: bool = False) -> ExperimentResult:
             ScenarioSpec(config=config, engine="multirank", n_tasks=n)
             for n in multi_counts
         ]
-        result.declare_scenario(*multi_specs)
-        multi = dict(zip(multi_counts, sweep_scenarios(multi_specs)))
+        multi = dict(zip(multi_counts, result.sweep(multi_specs, runner)))
         skew_rows = []
         for n_tasks in multi_counts:
             report = multi[n_tasks]

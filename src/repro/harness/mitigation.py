@@ -35,21 +35,18 @@ instead of waiting for the root pass.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from repro.core import presets
-from repro.core.builds import BuildMode, build_benchmark
-from repro.core.generator import generate
-from repro.core.multirank import warm_node_selection
-from repro.dist.overlay import DistributionOverlay, StagingPlan
 from repro.dist.topology import DistributionSpec, Topology
-from repro.fs.nfs import NFSServer
 from repro.errors import ConfigError
+from repro.fs.nfs import NFSServer
 from repro.fs.staging import StagingStrategy, staging_seconds
 from repro.harness.experiments import ExperimentResult, register
-from repro.harness.sweep import SweepRunner, sweep_scenarios
-from repro.machine.cluster import Cluster
-from repro.rng import SeededRng
+from repro.harness.mitigation_scaled import (
+    CLOSED_FORM_TWINS,
+    eval_staging_point,
+    image_inventory,
+)
+from repro.harness.sweep import DEFAULT_RUNNER, SweepRunner
 from repro.scenario.spec import ScenarioSpec
 
 #: Default node counts — the acceptance bar is >= 256 under multirank.
@@ -81,57 +78,6 @@ def _strategies(
     return strategies
 
 
-@lru_cache(maxsize=1)
-def _study_spec():
-    """The study's benchmark spec (cached: generation dominates setup)."""
-    return generate(presets.tiny())
-
-
-def _dll_set_size() -> tuple[int, int]:
-    """(total bytes, file count) of the staged image set."""
-    cluster = Cluster(n_nodes=1)
-    build = build_benchmark(_study_spec(), cluster.nfs, BuildMode.VANILLA)
-    images = list(build.images.values())
-    return sum(image.size_bytes for image in images), len(images)
-
-
-def _analytic_strategy_seconds(
-    label: str,
-    total_bytes: int,
-    n_files: int,
-    n_nodes: int,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-) -> float | None:
-    """The closed-form twin of a strategy (None when it has none)."""
-    twins = {
-        "nfs-direct": StagingStrategy.INDEPENDENT,
-        "parallel-fs": StagingStrategy.PARALLEL_FS,
-        "tree-broadcast": StagingStrategy.COLLECTIVE,
-        "cut-through": StagingStrategy.PIPELINED,
-    }
-    strategy = twins.get(label)
-    if strategy is None:
-        return None
-    return staging_seconds(
-        total_bytes, n_files, n_nodes, strategy, chunk_bytes=chunk_bytes
-    )
-
-
-def _staged_plan(
-    n_nodes: int, spec: DistributionSpec, warm_fraction: float = 0.0
-) -> StagingPlan:
-    """One standalone overlay staging pass on a fresh cold/warm cluster."""
-    cluster = Cluster(n_nodes=n_nodes, cores_per_node=1)
-    build = build_benchmark(_study_spec(), cluster.nfs, BuildMode.VANILLA)
-    images = list(build.images.values())
-    if warm_fraction > 0.0:
-        rng = SeededRng(getattr(_study_spec().config, "seed", 0))
-        for index in warm_node_selection(n_nodes, warm_fraction, rng):
-            for image in images:
-                cluster.nodes[index].buffer_cache.read(image)
-    return DistributionOverlay(spec, cluster).stage(images)
-
-
 @register("mitigation")
 def run(
     node_counts: "list[int] | None" = None,
@@ -139,17 +85,14 @@ def run(
     distribution: DistributionSpec | None = None,
     chunk_bytes: "int | None" = None,
     warm_fraction: "float | None" = None,
-    cache_dir: "str | None" = None,
     smoke: bool = False,
+    runner: SweepRunner = DEFAULT_RUNNER,
 ) -> ExperimentResult:
     """Cold startup by distribution strategy across node counts.
 
     ``chunk_bytes`` sets the cut-through strategy's relay granularity;
     ``warm_fraction`` adds a warm-mix staging table (cache-aware relays);
-    ``cache_dir`` backs the sweep runner's memo with a disk cache so
-    repeated large-cell studies (CI re-runs) replay instead of
-    re-simulating; ``smoke`` shrinks the node axis to seconds for CI
-    registry sweeps.
+    ``smoke`` shrinks the node axis to seconds for CI registry sweeps.
     """
     if engine not in ("analytic", "multirank"):
         raise ConfigError(
@@ -171,16 +114,21 @@ def run(
         paper_reference="Section II.B.2 / Section V (collective opening of DLLs)",
     )
     if engine == "analytic":
-        result.declare_scenario(ScenarioSpec(config=config))
-        total_bytes, n_files = _dll_set_size()
+        spec = ScenarioSpec(config=config)
+        result.declare_scenario(spec)
+        total_bytes, n_files = image_inventory(spec)
         rows = []
         for nodes in counts:
             row: list[object] = [nodes]
             for label in strategies:
-                seconds = _analytic_strategy_seconds(
-                    label, total_bytes, n_files, nodes, chunk_bytes=chunk
+                twin = CLOSED_FORM_TWINS.get(label)
+                if twin is None:
+                    row.append("-")
+                    continue
+                seconds = staging_seconds(
+                    total_bytes, n_files, nodes, twin, chunk_bytes=chunk
                 )
-                row.append("-" if seconds is None else f"{seconds:.4f}")
+                row.append(f"{seconds:.4f}")
             rows.append(row)
         result.add_table(
             "closed-form staging seconds until every node holds the DLL set",
@@ -192,13 +140,9 @@ def run(
             "re-run with engine='multirank' for emergent queueing"
         )
         return result
-    # Multirank: one rank per node, cold caches, full job simulations.
-    # The grid is declared as ScenarioSpecs — one per (strategy, node
-    # count) — and dispatched through the scenario sweep, whose cache
-    # keys on the canonical spec hash: repeated studies in one process
-    # replay from the memo, and ``cache_dir`` extends it to disk so
-    # fresh processes (CI re-runs) replay too.
-    runner = SweepRunner(cache_dir=cache_dir) if cache_dir else None
+    # Multirank: one rank per node, cold caches, full job simulations,
+    # one ScenarioSpec per (strategy, node count).  The staging-only
+    # cells below re-run some of these specs' overlays on their own.
     grid = {
         label: [
             ScenarioSpec(
@@ -212,10 +156,8 @@ def run(
         ]
         for label, spec in strategies.items()
     }
-    for specs in grid.values():
-        result.declare_scenario(*specs)
     reports = {
-        label: dict(zip(counts, sweep_scenarios(specs, runner=runner)))
+        label: dict(zip(counts, result.sweep(specs, runner)))
         for label, specs in grid.items()
     }
     rows = []
@@ -247,9 +189,22 @@ def run(
     )
     # Pin the stepped overlays against their closed-form twins on a
     # homogeneous cold cluster of the largest size (the goldens the
-    # acceptance criteria name: within 5%).
-    total_bytes, n_files = _dll_set_size()
-    plan = _staged_plan(biggest, DistributionSpec(topology=Topology.BINOMIAL))
+    # acceptance criteria name: within 5%).  The warm-mix rows stage
+    # the cut-through specs again with a warm fraction of their nodes.
+    tree = grid["tree-broadcast"][-1]
+    cold_specs = grid["cut-through"]
+    if warm_fraction is None:
+        cold_specs, warm_specs = cold_specs[-1:], []
+    else:
+        warm_specs = [
+            spec.with_(warm_fraction=warm_fraction) for spec in cold_specs
+        ]
+    summaries = result.sweep(
+        [tree, *cold_specs, *warm_specs], runner, eval_staging_point
+    )
+    plan, cold_plans = summaries[0], summaries[1 : len(cold_specs) + 1]
+    cut_plan = cold_plans[-1]
+    total_bytes, n_files = image_inventory(tree)
     analytic_collective = staging_seconds(
         total_bytes,
         n_files,
@@ -260,7 +215,6 @@ def run(
     result.metrics["stepped_over_analytic_collective"] = (
         plan.makespan_s / analytic_collective
     )
-    cut_plan = _staged_plan(biggest, strategies["cut-through"])
     analytic_pipelined = staging_seconds(
         total_bytes,
         n_files,
@@ -277,21 +231,12 @@ def run(
     )
     if warm_fraction is not None:
         warm_rows = []
-        for nodes in counts:
-            # The largest count's cold plan was already staged for the
-            # golden metric above.
-            cold = (
-                cut_plan
-                if nodes == biggest
-                else _staged_plan(nodes, strategies["cut-through"])
-            )
-            warm = _staged_plan(
-                nodes, strategies["cut-through"], warm_fraction=warm_fraction
-            )
+        warm_plans = summaries[len(cold_specs) + 1 :]
+        for nodes, cold, warm in zip(counts, cold_plans, warm_plans):
             warm_rows.append(
                 [
                     nodes,
-                    len(warm.warm_nodes),
+                    warm.warm_node_count,
                     f"{cold.makespan_s:.4f}",
                     f"{warm.makespan_s:.4f}",
                     warm.source_reads,
@@ -324,26 +269,4 @@ def run(
         "homogeneous cold cluster, and the chunked cut-through broadcast "
         "tracks staging_seconds(PIPELINED) the same way"
     )
-    _note_cache_stats(result, runner)
     return result
-
-
-def _note_cache_stats(result: ExperimentResult, runner: "SweepRunner | None") -> None:
-    """Record the sweep cache's hit/miss/corrupt accounting.
-
-    The corrupt count is the results warehouse's poisoned-entry
-    surface: a nonzero value means disk rows existed but could not be
-    replayed (torn payloads, schema-version drift) — visible here
-    instead of silently inflating the miss column.
-    """
-    if runner is None:
-        return
-    result.metrics["sweep_cache_hits"] = float(runner.hits)
-    result.metrics["sweep_cache_misses"] = float(runner.misses)
-    result.metrics["sweep_cache_corrupt"] = float(runner.corrupt)
-    if runner.corrupt:
-        result.notes.append(
-            f"sweep cache reported {runner.corrupt} corrupt disk "
-            f"entr{'y' if runner.corrupt == 1 else 'ies'} (recomputed; "
-            f"see the warehouse warnings above)"
-        )

@@ -9,10 +9,9 @@ past 1k (the ``llnl_multiphysics_scaled`` scenario preset: 1536 nodes,
 one rank per node, chunked cut-through binomial broadcast).
 
 Every heavy cell is a :class:`ScenarioSpec` evaluated through the sweep
-runner, so with ``cache_dir`` (the CLI's ``--cache-dir``, the tier-2 CI
-cache) the >1k-node overlay passes and the full job replay from disk
-instead of re-simulating — first run pays minutes, every run after
-pays seconds.
+runner, so with the CLI's ``--cache-dir`` (the tier-2 CI cache) the
+>1k-node overlay passes replay from the warehouse instead of
+re-simulating — first run pays minutes, every run after pays seconds.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ from repro.errors import ConfigError
 from repro.fs.nfs import NFSServer
 from repro.fs.staging import StagingStrategy, staging_seconds
 from repro.harness.experiments import ExperimentResult, register
-from repro.harness.mitigation import _note_cache_stats
-from repro.harness.sweep import SweepRunner, sweep_scenarios
+from repro.harness.sweep import DEFAULT_RUNNER, SweepRunner
 from repro.machine.cluster import Cluster
 from repro.machine.scheduler import paused_gc
 from repro.rng import SeededRng
@@ -42,6 +40,14 @@ DEFAULT_NODE_COUNTS = (256, 1536)
 
 #: Seconds-fast counts for the tier-1 registry smoke.
 SMOKE_NODE_COUNTS = (8, 16)
+
+#: Each delivery strategy's closed-form twin in :mod:`repro.fs.staging`.
+CLOSED_FORM_TWINS = {
+    "nfs-direct": StagingStrategy.INDEPENDENT,
+    "parallel-fs": StagingStrategy.PARALLEL_FS,
+    "tree-broadcast": StagingStrategy.COLLECTIVE,
+    "cut-through": StagingStrategy.PIPELINED,
+}
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,20 @@ class StagingSummary:
 def _benchmark(config) -> "object":
     """Generate (and cache per process) the study's benchmark spec."""
     return generate(config)
+
+
+def image_inventory(spec: ScenarioSpec) -> tuple[int, int]:
+    """(total bytes, file count) of the DLL set ``spec``'s staging pass
+    moves: the inputs of the closed-form staging twins."""
+    cluster = Cluster(n_nodes=1)
+    build = build_benchmark(
+        _benchmark(spec.config),
+        cluster.nfs,
+        spec.mode,
+        hash_style=spec.hash_style,
+    )
+    images = list(build.images.values())
+    return sum(image.size_bytes for image in images), len(images)
 
 
 # Building the cluster and the benchmark allocates as much as the pass
@@ -165,13 +185,12 @@ def _overlay_cells(base: ScenarioSpec) -> dict[str, ScenarioSpec]:
 @register("mitigation_scaled")
 def run(
     node_counts: "list[int] | None" = None,
-    cache_dir: "str | None" = None,
     warm_fraction: "float | None" = None,
     smoke: bool = False,
+    runner: SweepRunner = DEFAULT_RUNNER,
 ) -> ExperimentResult:
     """Cold staging by strategy, full library count, up to >1k nodes.
 
-    ``cache_dir`` backs every heavy cell with the disk cache;
     ``warm_fraction`` adds a cache-aware warm-mix column; ``smoke``
     shrinks the node axis to seconds for CI registry sweeps.
     """
@@ -184,7 +203,6 @@ def run(
         counts = list(node_counts)
     else:
         counts = list(SMOKE_NODE_COUNTS if smoke else DEFAULT_NODE_COUNTS)
-    runner = SweepRunner(cache_dir=cache_dir) if cache_dir else SweepRunner()
     result = ExperimentResult(
         name=(
             "Full-library-count mitigation study "
@@ -193,22 +211,12 @@ def run(
         paper_reference="Section II.B.2 / Section V, at Section IV's scale",
     )
     chunk = base.distribution.chunk_bytes  # type: ignore[union-attr]
-    # One staged-image inventory for the closed forms.
-    cluster = Cluster(n_nodes=1)
-    build = build_benchmark(_benchmark(base.config), cluster.nfs, base.mode)
-    images = list(build.images.values())
-    total_bytes, n_files = sum(i.size_bytes for i in images), len(images)
-    twins = {
-        "nfs-direct": StagingStrategy.INDEPENDENT,
-        "parallel-fs": StagingStrategy.PARALLEL_FS,
-        "tree-broadcast": StagingStrategy.COLLECTIVE,
-        "cut-through": StagingStrategy.PIPELINED,
-    }
+    total_bytes, n_files = image_inventory(base)
     analytic: dict[tuple[str, int], float] = {}
     rows = []
     for nodes in counts:
         row: list[object] = [nodes]
-        for label, strategy in twins.items():
+        for label, strategy in CLOSED_FORM_TWINS.items():
             seconds = staging_seconds(
                 total_bytes,
                 n_files,
@@ -223,7 +231,7 @@ def run(
     result.add_table(
         f"closed-form staging seconds, {n_files} DLLs "
         f"({total_bytes / 2**20:.1f} MB per node)",
-        ["nodes", *twins],
+        ["nodes", *CLOSED_FORM_TWINS],
         rows,
     )
     # The stepped overlay cells, disk-cached by canonical spec hash.
@@ -237,13 +245,8 @@ def run(
             cells.append(
                 ("cut-through+warm", nodes, _overlay_cells(warm_base)["cut-through"])
             )
-    specs = [spec for _, _, spec in cells]
-    result.declare_scenario(*specs)
-    summaries = runner.map(
-        eval_staging_point,
-        specs,
-        keys=[spec.spec_hash for spec in specs],
-        spec_docs=[spec.canonical_json() for spec in specs],
+    summaries = result.sweep(
+        [spec for _, _, spec in cells], runner, eval_staging_point
     )
     by_cell = {
         (label, nodes): summary
@@ -300,5 +303,4 @@ def run(
         "spec hash: with --cache-dir the >1k-node passes replay from "
         "disk instead of re-simulating"
     )
-    _note_cache_stats(result, runner)
     return result

@@ -30,12 +30,10 @@ import random
 from dataclasses import replace
 
 from repro.dist.topology import DistributionSpec, Topology
-from repro.errors import ConfigError
 from repro.faults.spec import BrownoutWindow, FaultSpec, RelayCrash
 from repro.harness.experiments import ExperimentResult, register
-from repro.harness.mitigation import _note_cache_stats
 from repro.harness.mitigation_scaled import eval_staging_point
-from repro.harness.sweep import SweepRunner
+from repro.harness.sweep import DEFAULT_RUNNER, SweepRunner
 from repro.scenario.presets import scenario_preset
 from repro.scenario.spec import ScenarioSpec
 
@@ -96,31 +94,16 @@ def _crash_schedule(label: str, n_nodes: int, rate: float) -> "FaultSpec | None"
 
 @register("resilience")
 def run(
-    node_count: "int | None" = None,
-    failure_rates: "list[float] | None" = None,
-    cache_dir: "str | None" = None,
-    smoke: bool = False,
+    smoke: bool = False, runner: SweepRunner = DEFAULT_RUNNER
 ) -> ExperimentResult:
     """Staging-time degradation vs relay failure rate, per topology.
 
-    ``cache_dir`` memoizes every cell in the results warehouse under
-    its canonical spec hash; ``smoke`` shrinks the axes to seconds for
-    the CI registry sweep.
+    ``smoke`` shrinks the axes to seconds for the CI registry sweep.
     """
-    rates = (
-        tuple(failure_rates)
-        if failure_rates
-        else (SMOKE_FAILURE_RATES if smoke else DEFAULT_FAILURE_RATES)
-    )
-    for rate in rates:
-        if not 0.0 <= rate < 1.0:
-            raise ConfigError(
-                f"failure rates must be in [0, 1), got {rate}"
-            )
-    n_nodes = node_count or (SMOKE_NODE_COUNT if smoke else DEFAULT_NODE_COUNT)
+    rates = SMOKE_FAILURE_RATES if smoke else DEFAULT_FAILURE_RATES
+    n_nodes = SMOKE_NODE_COUNT if smoke else DEFAULT_NODE_COUNT
     factors = SMOKE_BROWNOUT_FACTORS if smoke else DEFAULT_BROWNOUT_FACTORS
     base = scenario_preset("llnl_multiphysics_scaled").with_(n_tasks=n_nodes)
-    runner = SweepRunner(cache_dir=cache_dir) if cache_dir else SweepRunner()
     result = ExperimentResult(
         name=(
             f"Resilience: staging degradation vs failure rate "
@@ -170,13 +153,7 @@ def run(
     specs = [spec for _, _, spec in cells] + [
         spec for _, spec in brownout_cells
     ]
-    result.declare_scenario(*specs)
-    summaries = runner.map(
-        eval_staging_point,
-        specs,
-        keys=[spec.spec_hash for spec in specs],
-        spec_docs=[spec.canonical_json() for spec in specs],
-    )
+    summaries = result.sweep(specs, runner, eval_staging_point)
     by_cell = {
         (label, rate): summary
         for (label, rate, _), summary in zip(cells, summaries)
@@ -249,5 +226,4 @@ def run(
         "orphaned subtrees re-attach to their nearest live ancestor "
         "(or re-fetch from the source) and resume at chunk granularity"
     )
-    _note_cache_stats(result, runner)
     return result

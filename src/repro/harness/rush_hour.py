@@ -25,10 +25,8 @@ from __future__ import annotations
 from repro.core.config import PynamicConfig
 from repro.core.job import percentile
 from repro.dist.topology import DistributionSpec, Topology
-from repro.errors import ConfigError
 from repro.harness.experiments import ExperimentResult, register
-from repro.harness.mitigation import _note_cache_stats
-from repro.harness.sweep import SweepRunner, sweep_scenarios
+from repro.harness.sweep import DEFAULT_RUNNER, SweepRunner
 from repro.scenario.spec import ScenarioSpec
 from repro.workload.presets import rush_hour_job
 from repro.workload.report import cold_start_values
@@ -75,7 +73,6 @@ def _workload_cell(
     n_jobs: int,
     arrival: str,
     rate_per_s: "float | None",
-    policy: str,
 ) -> WorkloadSpec:
     tenant = TenantSpec(
         name="storm",
@@ -84,35 +81,26 @@ def _workload_cell(
         arrival=arrival,
         rate_per_s=rate_per_s,
     )
-    return WorkloadSpec(tenants=(tenant,), n_nodes=n_nodes, policy=policy)
+    return WorkloadSpec(tenants=(tenant,), n_nodes=n_nodes, policy="fifo")
 
 
 @register("rush_hour")
 def run(
-    n_nodes: "int | None" = None,
-    n_jobs: "int | None" = None,
-    cache_dir: "str | None" = None,
-    policy: str = "fifo",
-    smoke: bool = False,
+    smoke: bool = False, runner: SweepRunner = DEFAULT_RUNNER
 ) -> ExperimentResult:
     """Cold-start storms by arrival process and distribution strategy."""
     if smoke:
-        nodes = n_nodes or SMOKE_N_NODES
-        jobs = n_jobs or SMOKE_N_JOBS
+        nodes = SMOKE_N_NODES
+        jobs = SMOKE_N_JOBS
         rates = SMOKE_RATES
         job_width = 2
         base_job = _smoke_job(job_width)
     else:
-        nodes = n_nodes or DEFAULT_N_NODES
-        jobs = n_jobs or DEFAULT_N_JOBS
+        nodes = DEFAULT_N_NODES
+        jobs = DEFAULT_N_JOBS
         rates = DEFAULT_RATES
         job_width = 8
         base_job = rush_hour_job(job_width)
-    if nodes < job_width * 1:
-        raise ConfigError(
-            f"n_nodes={nodes} cannot host even one {job_width}-node job"
-        )
-    runner = SweepRunner(cache_dir=cache_dir) if cache_dir else SweepRunner()
     strategies = {
         "nfs-direct": base_job,
         "broadcast": base_job.with_(distribution=_BROADCAST),
@@ -125,21 +113,17 @@ def run(
     result = ExperimentResult(
         name=(
             f"Rush hour: {jobs} cold {job_width}-node jobs on {nodes} "
-            f"shared nodes ({policy} queue)"
+            "shared nodes (fifo queue)"
         ),
         paper_reference=(
             "Section II's startup storm, scheduled as a multi-tenant "
             "batch queue instead of one job at a time"
         ),
     )
-    result.declare_scenario(*strategies.values())
     # Solo baselines: the same job specs, run alone, through the same
     # warehouse-backed runner — the denominator of the contention ratio.
     solo_reports = dict(
-        zip(
-            strategies,
-            sweep_scenarios(list(strategies.values()), runner=runner),
-        )
+        zip(strategies, result.sweep(list(strategies.values()), runner))
     )
     solo_p95 = {
         label: percentile(cold_start_values(report), 95)
@@ -150,7 +134,7 @@ def run(
     for arrival_label, arrival, rate in arrivals:
         row: list[object] = [arrival_label]
         for strategy_label, job in strategies.items():
-            spec = _workload_cell(job, nodes, jobs, arrival, rate, policy)
+            spec = _workload_cell(job, nodes, jobs, arrival, rate)
             report = run_workload(spec, runner=runner)
             cell_reports[arrival_label, strategy_label] = report
             storm = report.tenant("storm")
@@ -207,5 +191,4 @@ def run(
         "canonical workload hash; with --cache-dir a re-run replays "
         "from the store in milliseconds"
     )
-    _note_cache_stats(result, runner)
     return result

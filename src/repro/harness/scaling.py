@@ -16,19 +16,9 @@ from repro.core.builds import BuildMode
 from repro.fs.nfs import NFSServer
 from repro.fs.parallelfs import ParallelFileSystem
 from repro.harness.experiments import ExperimentResult, register
-from repro.harness.sweep import sweep_mode_reports
+from repro.harness.sweep import DEFAULT_RUNNER, SweepRunner
+from repro.harness.table1 import mode_reports
 from repro.scenario.spec import ScenarioSpec
-
-
-def _declare_mode_grid(result: ExperimentResult, configs) -> None:
-    """Declare a warm all-modes grid as one spec per (config, mode)."""
-    result.declare_scenario(
-        *(
-            ScenarioSpec(config=config, mode=mode, warm_file_cache=True)
-            for config in configs
-            for mode in BuildMode
-        )
-    )
 
 
 def _ratio_from(config, reports) -> dict[str, float]:
@@ -44,7 +34,9 @@ def _ratio_from(config, reports) -> dict[str, float]:
 
 
 @register("scaling_dlls")
-def run_dll_scaling(smoke: bool = False) -> ExperimentResult:
+def run_dll_scaling(
+    smoke: bool = False, runner: SweepRunner = DEFAULT_RUNNER
+) -> ExperimentResult:
     """S1: the lazy-binding visit penalty vs. the number of DLLs."""
     result = ExperimentResult(
         name="Visit slow-down vs. DLL count",
@@ -62,10 +54,9 @@ def run_dll_scaling(smoke: bool = False) -> ExperimentResult:
         )
         for factor in factors
     ]
-    _declare_mode_grid(result, configs)
     rows = []
     points = []
-    for config, reports in zip(configs, sweep_mode_reports(configs)):
+    for config, reports in zip(configs, mode_reports(result, configs, runner)):
         point = _ratio_from(config, reports)
         points.append(point)
         rows.append(
@@ -94,7 +85,9 @@ def run_dll_scaling(smoke: bool = False) -> ExperimentResult:
 
 
 @register("scaling_dll_size")
-def run_dll_size_scaling(smoke: bool = False) -> ExperimentResult:
+def run_dll_size_scaling(
+    smoke: bool = False, runner: SweepRunner = DEFAULT_RUNNER
+) -> ExperimentResult:
     """S2: sensitivity to DLL size (functions per module)."""
     result = ExperimentResult(
         name="Import/visit cost vs. DLL size",
@@ -112,8 +105,9 @@ def run_dll_size_scaling(smoke: bool = False) -> ExperimentResult:
     last_import = None
     sizes = (25, 50) if smoke else (50, 100, 200)
     configs = [replace(base, avg_functions=avg_functions) for avg_functions in sizes]
-    _declare_mode_grid(result, configs)
-    for avg_functions, reports in zip(sizes, sweep_mode_reports(configs)):
+    for avg_functions, reports in zip(
+        sizes, mode_reports(result, configs, runner)
+    ):
         vanilla = reports[BuildMode.VANILLA]
         link = reports[BuildMode.LINKED]
         if first_import is None:
@@ -173,9 +167,7 @@ def run_nfs_scaling() -> ExperimentResult:
         rows,
     )
     result.metrics["nfs_over_pfs_at_1024"] = ratios[1024]
-    result.metrics["nfs_degradation_16_to_1024"] = None or (
-        rows[-1][1] / rows[0][1]
-    )
+    result.metrics["nfs_degradation_16_to_1024"] = rows[-1][1] / rows[0][1]
     result.notes.append(
         "NFS time grows linearly with node count while the striped FS "
         "holds steady until its targets saturate — the extreme-scale "

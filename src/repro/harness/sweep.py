@@ -8,12 +8,10 @@ out across workers and memoizes each point's result, keeping table
 regeneration fast even as the multi-rank engine makes single points more
 expensive.
 
-Two grid shapes cover the harness experiments:
-
-- :func:`sweep_scenarios` — one :class:`ScenarioSpec` per grid point
-  (either engine), used by every job-shaped study;
-- :func:`sweep_mode_reports` — all three build modes per config, used by
-  the DLL-count and DLL-size scaling studies.
+Every simulated experiment cell is one :class:`ScenarioSpec`:
+:func:`sweep_scenarios` runs each as a full job, and
+:meth:`SweepRunner.map_specs` runs them through any other top-level
+evaluator (the staging-only pass of the mitigation studies).
 
 Workers must re-import this module, so the evaluation functions are
 plain top-level functions of picklable arguments, and results are
@@ -36,23 +34,12 @@ import os
 from multiprocessing import get_context
 from typing import Callable, Sequence
 
-from repro.core.builds import BuildMode
-from repro.core.config import PynamicConfig
-from repro.core.driver import DriverReport
 from repro.core.job import JobReport
-from repro.core.runner import run_all_modes
 from repro.errors import ConfigError
 
 #: Hard cap on worker processes — grid points are coarse, so more
 #: workers than points (or than cores) only adds fork overhead.
 MAX_WORKERS = 8
-
-
-def _eval_mode_point(point: tuple) -> dict[BuildMode, DriverReport]:
-    """Evaluate all three build modes for one config grid point."""
-    config, warm = point
-    results = run_all_modes(config, warm_file_cache=warm)
-    return {mode: result.report for mode, result in results.items()}
 
 
 def _eval_scenario_point(point: "object") -> JobReport:
@@ -77,9 +64,9 @@ class SweepRunner:
     :mod:`repro.results`), so a fresh process (a CI run, a notebook
     restart) replays previous studies without re-simulating — and two
     concurrent processes (parallel sweeps, a CI run next to a local
-    one) can share the one warehouse safely.  Points without explicit
-    ``keys`` must have stable ``repr``s — true for the config
-    dataclasses the mode grids use.
+    one) can share the one warehouse safely.  Every point carries an
+    explicit key (a canonical spec or workload hash), so two spellings
+    of one grid point share an entry.
     Disk loads count as ``hits``; rows that exist but cannot be read
     back (torn payloads, schema-version mismatches) count as
     ``corrupt`` and are reported with a warning, never silently folded
@@ -90,18 +77,11 @@ class SweepRunner:
     def __init__(
         self,
         workers: int | None = None,
-        memoize: bool = True,
         cache_dir: "str | os.PathLike[str] | None" = None,
     ) -> None:
         if workers is not None and workers < 1:
             raise ConfigError(f"need at least one worker, got {workers}")
-        if cache_dir is not None and not memoize:
-            raise ConfigError(
-                "cache_dir requires memoize=True (the disk layer sits "
-                "under the in-memory memo)"
-            )
         self.workers = workers
-        self.memoize = memoize
         self.cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
         self._warehouse = None
         if self.cache_dir is not None:
@@ -148,26 +128,26 @@ class SweepRunner:
 
     def map(
         self,
-        func: Callable[[tuple], object],
-        points: Sequence[tuple],
-        keys: "Sequence[str] | None" = None,
+        func: Callable[[object], object],
+        points: Sequence[object],
+        keys: Sequence[str],
         spec_docs: "Sequence[str | None] | None" = None,
     ) -> list:
         """Evaluate ``func`` over ``points``, parallel and memoized.
 
         Results come back in point order.  ``func`` must be a top-level
-        function and every point must be picklable.  With memoization
-        on, duplicate points inside one call are simulated only once.
+        function and every point must be picklable.  Duplicate points
+        inside one call are simulated only once.
 
-        ``keys`` optionally supplies one stable memo key per point in
-        place of ``repr(point)`` — the scenario sweeps pass each spec's
-        canonical hash, so any two spellings of the same grid point
-        share a cache entry (in memory and on disk).  ``spec_docs``
-        optionally carries each point's canonical spec JSON, stored
-        alongside the result in the warehouse so ``results query``
-        shows *what* was parameterized, not just the hash.
+        ``keys`` supplies one stable memo key per point — the scenario
+        sweeps pass each spec's canonical hash, so any two spellings of
+        the same grid point share a cache entry (in memory and on
+        disk).  ``spec_docs`` optionally carries each point's canonical
+        spec JSON, stored alongside the result in the warehouse so
+        ``results query`` shows *what* was parameterized, not just the
+        hash.
         """
-        if keys is not None and len(keys) != len(points):
+        if len(keys) != len(points):
             raise ConfigError(
                 f"got {len(keys)} keys for {len(points)} points"
             )
@@ -175,11 +155,6 @@ class SweepRunner:
             raise ConfigError(
                 f"got {len(spec_docs)} spec docs for {len(points)} points"
             )
-        if not self.memoize:
-            self.misses += len(points)
-            return self._evaluate(func, list(points))
-        if keys is None:
-            keys = [repr(point) for point in points]
         keys = [(func.__name__, key) for key in keys]
         results: dict[int, object] = {}
         compute: dict[tuple[str, str], int] = {}  # key -> first index
@@ -217,7 +192,20 @@ class SweepRunner:
                     results[index] = self._memo[key]
         return [results[index] for index in range(len(points))]
 
-    def _evaluate(self, func: Callable[[tuple], object], todo: list) -> list:
+    def map_specs(
+        self, func: Callable[[object], object], specs: "Sequence[object]"
+    ) -> list:
+        """:meth:`map` over :class:`ScenarioSpec` cells, keyed by each
+        spec's canonical hash and stored with its canonical JSON."""
+        specs = list(specs)
+        return self.map(
+            func,
+            specs,
+            keys=[spec.spec_hash for spec in specs],
+            spec_docs=[spec.canonical_json() for spec in specs],
+        )
+
+    def _evaluate(self, func: Callable[[object], object], todo: list) -> list:
         """Run the grid points, inline or across a worker pool."""
         workers = self._worker_count(len(todo))
         if workers == 1:
@@ -248,22 +236,4 @@ def sweep_scenarios(
     entry no matter how it was spelled — direct construction, the
     fluent builder, or a JSON file.
     """
-    runner = runner or DEFAULT_RUNNER
-    specs = list(specs)
-    return runner.map(
-        _eval_scenario_point,
-        specs,
-        keys=[spec.spec_hash for spec in specs],
-        spec_docs=[spec.canonical_json() for spec in specs],
-    )
-
-
-def sweep_mode_reports(
-    configs: Sequence[PynamicConfig],
-    warm_file_cache: bool = True,
-    runner: SweepRunner | None = None,
-) -> list[dict[BuildMode, DriverReport]]:
-    """All three build modes for each config, one worker per grid point."""
-    runner = runner or DEFAULT_RUNNER
-    points = [(config, warm_file_cache) for config in configs]
-    return runner.map(_eval_mode_point, points)
+    return (runner or DEFAULT_RUNNER).map_specs(_eval_scenario_point, specs)

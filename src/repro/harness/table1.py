@@ -16,13 +16,14 @@ lazy-binding visit blow-up, LD_BIND_NOW moving that cost into startup).
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import lru_cache
+from typing import Sequence
 
 from repro.core import presets
 from repro.core.builds import BuildMode
 from repro.core.config import PynamicConfig
-from repro.core.runner import RunResult, run_all_modes
+from repro.core.driver import DriverReport
 from repro.harness.experiments import ExperimentResult, register
+from repro.harness.sweep import DEFAULT_RUNNER, SweepRunner
 from repro.scenario.spec import ScenarioSpec
 
 
@@ -33,16 +34,24 @@ def smoke_config() -> PynamicConfig:
     )
 
 
-def declare_mode_scenarios(
-    result: ExperimentResult, config: PynamicConfig, warm: bool = True
-) -> None:
-    """Declare the three-build grid (shared by Tables I and II)."""
-    result.declare_scenario(
-        *(
-            ScenarioSpec(config=config, mode=mode, warm_file_cache=warm)
-            for mode in BuildMode
-        )
-    )
+def mode_reports(
+    result: ExperimentResult,
+    configs: Sequence[PynamicConfig],
+    runner: SweepRunner,
+) -> list[dict[BuildMode, DriverReport]]:
+    """The three warm single-rank builds of each config (the grid of
+    Tables I and II and the scaling studies), as rank-0 reports by
+    build mode, one dict per config."""
+    specs = [
+        ScenarioSpec(config=config, mode=mode, warm_file_cache=True)
+        for config in configs
+        for mode in BuildMode
+    ]
+    reports = iter(result.sweep(specs, runner))
+    return [
+        {mode: next(reports).rank0 for mode in BuildMode} for _ in configs
+    ]
+
 
 #: The paper's Table I, seconds.
 PAPER_TABLE1: dict[str, dict[str, float]] = {
@@ -52,19 +61,11 @@ PAPER_TABLE1: dict[str, dict[str, float]] = {
 }
 
 
-@lru_cache(maxsize=4)
-def link_mode_comparison(
-    config: PynamicConfig | None = None,
-) -> dict[BuildMode, RunResult]:
-    """Run (and cache) the three-build comparison Table I and II share."""
-    return run_all_modes(config or presets.table1_config())
-
-
-def table1_metrics(results: dict[BuildMode, RunResult]) -> dict[str, float]:
+def table1_metrics(results: dict[BuildMode, DriverReport]) -> dict[str, float]:
     """The structural ratios the paper's Table I demonstrates."""
-    vanilla = results[BuildMode.VANILLA].report
-    link = results[BuildMode.LINKED].report
-    bind = results[BuildMode.LINKED_BIND_NOW].report
+    vanilla = results[BuildMode.VANILLA]
+    link = results[BuildMode.LINKED]
+    bind = results[BuildMode.LINKED_BIND_NOW]
     return {
         "import_speedup_link_over_vanilla": vanilla.import_s / link.import_s,
         "visit_slowdown_link_over_vanilla": link.visit_s / vanilla.visit_s,
@@ -79,15 +80,16 @@ def table1_metrics(results: dict[BuildMode, RunResult]) -> dict[str, float]:
 
 
 @register("table1")
-def run(smoke: bool = False) -> ExperimentResult:
+def run(
+    smoke: bool = False, runner: SweepRunner = DEFAULT_RUNNER
+) -> ExperimentResult:
     """Regenerate Table I (measured next to the paper's values)."""
     config = smoke_config() if smoke else presets.table1_config()
-    results = link_mode_comparison(config)
     result = ExperimentResult(
         name="Pynamic results (three build modes)",
         paper_reference="Table I",
     )
-    declare_mode_scenarios(result, config)
+    [results] = mode_reports(result, [config], runner)
     headers = [
         "version",
         "startup(s)",
@@ -101,7 +103,7 @@ def run(smoke: bool = False) -> ExperimentResult:
     ]
     rows = []
     for mode in BuildMode:
-        report = results[mode].report
+        report = results[mode]
         paper = PAPER_TABLE1[mode.value]
         rows.append(
             [

@@ -17,13 +17,10 @@ from __future__ import annotations
 
 from repro.core import presets
 from repro.core.builds import BuildMode
-from repro.core.runner import RunResult
+from repro.core.driver import DriverReport
 from repro.harness.experiments import ExperimentResult, register
-from repro.harness.table1 import (
-    declare_mode_scenarios,
-    link_mode_comparison,
-    smoke_config,
-)
+from repro.harness.sweep import DEFAULT_RUNNER, SweepRunner
+from repro.harness.table1 import mode_reports, smoke_config
 
 #: The paper's Table II, millions of misses.
 PAPER_TABLE2: dict[str, dict[str, float]] = {
@@ -48,11 +45,11 @@ PAPER_TABLE2: dict[str, dict[str, float]] = {
 }
 
 
-def table2_metrics(results: dict[BuildMode, RunResult]) -> dict[str, float]:
+def table2_metrics(results: dict[BuildMode, DriverReport]) -> dict[str, float]:
     """The miss-count ratios Table II demonstrates."""
-    vanilla = results[BuildMode.VANILLA].report
-    link = results[BuildMode.LINKED].report
-    bind = results[BuildMode.LINKED_BIND_NOW].report
+    vanilla = results[BuildMode.VANILLA]
+    link = results[BuildMode.LINKED]
+    bind = results[BuildMode.LINKED_BIND_NOW]
     return {
         "visit_l1d_ratio_link_over_vanilla": (
             link.counters["visit"].l1d_misses
@@ -74,15 +71,16 @@ def table2_metrics(results: dict[BuildMode, RunResult]) -> dict[str, float]:
 
 
 @register("table2")
-def run(smoke: bool = False) -> ExperimentResult:
+def run(
+    smoke: bool = False, runner: SweepRunner = DEFAULT_RUNNER
+) -> ExperimentResult:
     """Regenerate Table II (measured counts next to the paper's)."""
     config = smoke_config() if smoke else presets.table1_config()
-    results = link_mode_comparison(config)
     result = ExperimentResult(
         name="L1 data and instruction cache misses",
         paper_reference="Table II",
     )
-    declare_mode_scenarios(result, config)
+    [results] = mode_reports(result, [config], runner)
     headers = [
         "version",
         "import L1-D",
@@ -94,7 +92,7 @@ def run(smoke: bool = False) -> ExperimentResult:
     ]
     rows = []
     for mode in BuildMode:
-        counters = results[mode].report.counters
+        counters = results[mode].counters
         paper = PAPER_TABLE2[mode.value]
         rows.append(
             [

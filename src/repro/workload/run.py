@@ -20,7 +20,7 @@ def run_workload(
 ) -> WorkloadReport:
     """Simulate ``spec``'s whole batch queue to a :class:`WorkloadReport`.
 
-    With ``cache_dir`` (or a memoizing ``runner``), the run is keyed by
+    With ``cache_dir`` (or a ``runner``), the run is keyed by
     ``spec.workload_hash`` in the results warehouse exactly like single
     jobs are keyed by ``spec_hash`` — a repeated run replays from the
     store instead of re-simulating, and the canonical workload JSON is
@@ -29,7 +29,7 @@ def run_workload(
     if runner is None:
         if cache_dir is None:
             return WorkloadEngine(spec).run()
-        runner = SweepRunner(memoize=True, cache_dir=cache_dir)
+        runner = SweepRunner(cache_dir=cache_dir)
     [report] = runner.map(
         _eval_workload_point,
         [spec],

@@ -7,9 +7,10 @@ import pytest
 from repro.core import presets
 from repro.core.builds import BuildMode, build_benchmark
 from repro.core.generator import generate
-from repro.core.runner import BenchmarkRunner, run_all_modes
+from repro.core.runner import BenchmarkRunner
 from repro.elf.sections import SectionKind
 from repro.machine.cluster import Cluster
+from repro.scenario import ScenarioSpec, simulate
 
 
 class TestCrossSubsystemInvariants:
@@ -83,10 +84,9 @@ class TestCrossSubsystemInvariants:
 class TestDeterminismAcrossStack:
     def test_full_run_bit_identical(self):
         config = replace(presets.tiny(), seed=2024)
-        a = run_all_modes(config)
-        b = run_all_modes(config)
         for mode in BuildMode:
-            ra, rb = a[mode].report, b[mode].report
+            spec = ScenarioSpec(config=config, mode=mode, warm_file_cache=True)
+            ra, rb = simulate(spec).rank0, simulate(spec).rank0
             assert ra.startup_s == rb.startup_s
             assert ra.import_s == rb.import_s
             assert ra.visit_s == rb.visit_s

@@ -292,13 +292,6 @@ class TestSweepRunner:
         _sweep(small_config, [2, 8], runner)
         assert (runner.hits, runner.misses) == (3, 3)
 
-    def test_memoization_can_be_disabled(self, small_config):
-        runner = SweepRunner(workers=1, memoize=False)
-        _sweep(small_config, [2], runner)
-        _sweep(small_config, [2], runner)
-        assert runner.hits == 0
-        assert runner.misses == 2
-
     def test_multirank_reports_survive_the_pool(self, small_config):
         reports = _sweep(
             small_config, [4], SweepRunner(workers=2), engine="multirank"
@@ -311,10 +304,6 @@ class TestSweepRunner:
     def test_worker_validation(self):
         with pytest.raises(ConfigError):
             SweepRunner(workers=0)
-
-    def test_cache_dir_requires_memoization(self, tmp_path):
-        with pytest.raises(ConfigError):
-            SweepRunner(workers=1, memoize=False, cache_dir=tmp_path)
 
     def test_disk_cache_survives_processes(self, small_config, tmp_path):
         first = SweepRunner(workers=1, cache_dir=tmp_path)

@@ -11,9 +11,8 @@ from repro.core.builds import BuildMode, build_benchmark
 from repro.core.config import PynamicConfig
 from repro.core.generator import generate
 from repro.core.job import PynamicJob
-from repro.core.runner import run_all_modes
 from repro.machine.cluster import Cluster
-from repro.scenario.spec import ScenarioSpec
+from repro.scenario import ScenarioSpec, simulate
 from repro.tools.debugger import ParallelDebugger
 
 
@@ -27,61 +26,66 @@ def mid_results():
         name_length=64,
         avg_body_instructions=60,
     )
-    return run_all_modes(config)
+    return {
+        mode: simulate(
+            ScenarioSpec(config=config, mode=mode, warm_file_cache=True)
+        ).rank0
+        for mode in BuildMode
+    }
 
 
 class TestTable1Shape:
     def test_prelink_speeds_up_import(self, mid_results):
-        vanilla = mid_results[BuildMode.VANILLA].report
-        link = mid_results[BuildMode.LINKED].report
+        vanilla = mid_results[BuildMode.VANILLA]
+        link = mid_results[BuildMode.LINKED]
         assert vanilla.import_s / link.import_s > 1.5
 
     def test_lazy_binding_slows_down_visit(self, mid_results):
-        vanilla = mid_results[BuildMode.VANILLA].report
-        link = mid_results[BuildMode.LINKED].report
+        vanilla = mid_results[BuildMode.VANILLA]
+        link = mid_results[BuildMode.LINKED]
         assert link.visit_s / vanilla.visit_s > 3.0
 
     def test_bind_now_moves_cost_to_startup(self, mid_results):
-        link = mid_results[BuildMode.LINKED].report
-        bind = mid_results[BuildMode.LINKED_BIND_NOW].report
+        link = mid_results[BuildMode.LINKED]
+        bind = mid_results[BuildMode.LINKED_BIND_NOW]
         assert bind.startup_s > link.startup_s
         # And restores the fast visit.
         assert bind.visit_s == pytest.approx(
-            mid_results[BuildMode.VANILLA].report.visit_s, rel=0.35
+            mid_results[BuildMode.VANILLA].visit_s, rel=0.35
         )
 
     def test_startup_ordering(self, mid_results):
-        vanilla = mid_results[BuildMode.VANILLA].report
-        link = mid_results[BuildMode.LINKED].report
-        bind = mid_results[BuildMode.LINKED_BIND_NOW].report
+        vanilla = mid_results[BuildMode.VANILLA]
+        link = mid_results[BuildMode.LINKED]
+        bind = mid_results[BuildMode.LINKED_BIND_NOW]
         assert vanilla.startup_s <= link.startup_s < bind.startup_s
 
     def test_bind_import_close_to_link_import(self, mid_results):
-        link = mid_results[BuildMode.LINKED].report
-        bind = mid_results[BuildMode.LINKED_BIND_NOW].report
+        link = mid_results[BuildMode.LINKED]
+        bind = mid_results[BuildMode.LINKED_BIND_NOW]
         assert bind.import_s == pytest.approx(link.import_s, rel=0.2)
 
 
 class TestTable2Shape:
     def test_visit_dcache_explosion_only_when_lazy(self, mid_results):
-        vanilla = mid_results[BuildMode.VANILLA].report.counters["visit"]
-        link = mid_results[BuildMode.LINKED].report.counters["visit"]
-        bind = mid_results[BuildMode.LINKED_BIND_NOW].report.counters["visit"]
+        vanilla = mid_results[BuildMode.VANILLA].counters["visit"]
+        link = mid_results[BuildMode.LINKED].counters["visit"]
+        bind = mid_results[BuildMode.LINKED_BIND_NOW].counters["visit"]
         assert link.l1d_misses / max(1, vanilla.l1d_misses) > 50
         assert bind.l1d_misses == pytest.approx(vanilla.l1d_misses, rel=0.3)
 
     def test_import_is_data_miss_dominated(self, mid_results):
-        counters = mid_results[BuildMode.VANILLA].report.counters["import"]
+        counters = mid_results[BuildMode.VANILLA].counters["import"]
         assert counters.l1d_misses > 100 * max(1, counters.l1i_misses)
 
     def test_instruction_misses_stable_across_builds(self, mid_results):
-        vanilla = mid_results[BuildMode.VANILLA].report.counters["visit"]
-        link = mid_results[BuildMode.LINKED].report.counters["visit"]
+        vanilla = mid_results[BuildMode.VANILLA].counters["visit"]
+        link = mid_results[BuildMode.LINKED].counters["visit"]
         assert link.l1i_misses == pytest.approx(vanilla.l1i_misses, rel=0.2)
 
     def test_vanilla_import_misses_exceed_link_import(self, mid_results):
-        vanilla = mid_results[BuildMode.VANILLA].report.counters["import"]
-        link = mid_results[BuildMode.LINKED].report.counters["import"]
+        vanilla = mid_results[BuildMode.VANILLA].counters["import"]
+        link = mid_results[BuildMode.LINKED].counters["import"]
         assert vanilla.l1d_misses > link.l1d_misses
 
 

@@ -284,12 +284,12 @@ class TestDeterminism:
 
 class TestSweepMapKeyValidation:
     def test_keys_length_mismatch_raises(self):
-        runner = SweepRunner(workers=1, memoize=False)
+        runner = SweepRunner(workers=1)
         with pytest.raises(ConfigError, match="2 keys for 3 points"):
             runner.map(abs, [1, 2, 3], keys=["a", "b"])
 
     def test_spec_docs_length_mismatch_raises(self):
-        runner = SweepRunner(workers=1, memoize=False)
+        runner = SweepRunner(workers=1)
         with pytest.raises(ConfigError, match="spec docs"):
             runner.map(abs, [1, 2], keys=["a", "b"], spec_docs=["{}"])
 
