@@ -361,7 +361,9 @@ def _run_results(args: argparse.Namespace) -> int:
                         title=(
                             f"{len(diff['changed'])} compared metric(s), "
                             f"{len(diff['only_old'])} only in old, "
-                            f"{len(diff['only_new'])} only in new"
+                            f"{len(diff['only_new'])} only in new, "
+                            f"{diff['fingerprint_mismatches']} written by "
+                            f"another model"
                         ),
                     )
                 )

@@ -2,7 +2,8 @@
 
 The disk layer behind :class:`repro.harness.sweep.SweepRunner` — WAL-mode, concurrent-writer
 safe (``BEGIN IMMEDIATE``), keyed by canonical
-:attr:`~repro.scenario.spec.ScenarioSpec.spec_hash`, queryable via
+:attr:`~repro.scenario.spec.ScenarioSpec.spec_hash` under the current
+:func:`model_fingerprint`, queryable via
 ``pynamic-repro results query/diff/export``.
 """
 
@@ -20,6 +21,7 @@ from repro.results.store import (
     ResultsWarehouse,
     cache_key,
     current_commit,
+    model_fingerprint,
     resolve_warehouse_path,
 )
 
@@ -32,6 +34,7 @@ __all__ = [
     "current_commit",
     "diff_rows",
     "export_document",
+    "model_fingerprint",
     "open_warehouse",
     "query_rows",
     "resolve_metrics",

@@ -19,38 +19,47 @@ from repro.results.schema import (
 )
 
 
-def ensure_schema(conn: sqlite3.Connection) -> int:
+def ensure_schema(conn: sqlite3.Connection, fingerprint: str) -> int:
     """Create or upgrade the schema; returns dropped-row count.
 
     A version mismatch drops the results table (the payloads were
     pickled against another layout and cannot be trusted) — the caller
-    counts and reports the loss.
+    counts and reports the loss.  ``fingerprint`` (the opening
+    process's model fingerprint) is recorded in ``meta``.  An open that
+    finds both already current writes nothing: the tables and indexes
+    were created in the transaction that stamped the version.
     """
     conn.execute("BEGIN IMMEDIATE")
     try:
         conn.execute(CREATE_META)
-        row = conn.execute(
-            "SELECT value FROM meta WHERE key = 'schema_version'"
-        ).fetchone()
+        stored = dict(conn.execute("SELECT key, value FROM meta").fetchall())
         dropped = 0
-        if row is not None and int(row[0]) != SCHEMA_VERSION:
-            try:
-                dropped = conn.execute(
-                    "SELECT COUNT(*) FROM results"
-                ).fetchone()[0]
-            except sqlite3.DatabaseError:
-                dropped = 0
-            conn.execute("DROP TABLE IF EXISTS results")
-        conn.execute(CREATE_RESULTS)
-        for statement in CREATE_INDEXES:
-            conn.execute(statement)
-        conn.execute(
-            "INSERT INTO meta (key, value) VALUES ('schema_version', ?)"
-            " ON CONFLICT (key) DO UPDATE SET value = excluded.value",
-            (str(SCHEMA_VERSION),),
-        )
+        version = stored.get("schema_version")
+        if version is None or int(version) != SCHEMA_VERSION:
+            if version is not None:
+                try:
+                    dropped = conn.execute(
+                        "SELECT COUNT(*) FROM results"
+                    ).fetchone()[0]
+                except sqlite3.DatabaseError:
+                    dropped = 0
+                conn.execute("DROP TABLE IF EXISTS results")
+            conn.execute(CREATE_RESULTS)
+            for statement in CREATE_INDEXES:
+                conn.execute(statement)
+            _set_meta(conn, "schema_version", str(SCHEMA_VERSION))
+        if stored.get("model_fingerprint") != fingerprint:
+            _set_meta(conn, "model_fingerprint", fingerprint)
         conn.commit()
     except sqlite3.DatabaseError:
         conn.rollback()
         raise
     return dropped
+
+
+def _set_meta(conn: sqlite3.Connection, key: str, value: str) -> None:
+    conn.execute(
+        "INSERT INTO meta (key, value) VALUES (?, ?)"
+        " ON CONFLICT (key) DO UPDATE SET value = excluded.value",
+        (key, value),
+    )

@@ -13,7 +13,7 @@ import json
 import os
 
 from repro.errors import ConfigError
-from repro.results.schema import METRIC_COLUMNS, SCHEMA_VERSION
+from repro.results.schema import METRIC_COLUMNS
 from repro.results.store import (
     ResultsWarehouse,
     current_commit,
@@ -25,11 +25,14 @@ DEFAULT_METRICS = ("total_max", "staging_max")
 
 
 def open_warehouse(location: "str | os.PathLike[str]") -> ResultsWarehouse:
-    """Open an *existing* warehouse (cache dir or DB file) read-mostly.
+    """Open an *existing* warehouse (cache dir or DB file) read-only.
 
     Unlike the sweep runner's open, a missing file is an error here —
     querying a warehouse that does not exist should say so, not create
-    an empty one.
+    an empty one.  The handle never migrates: a warehouse of another
+    schema version keeps its rows, and its typed columns read as they
+    are (a read-write open would drop them), so a baseline written by
+    older code still diffs.
     """
     path = resolve_warehouse_path(location)
     if not os.path.exists(path):
@@ -37,7 +40,7 @@ def open_warehouse(location: "str | os.PathLike[str]") -> ResultsWarehouse:
             f"no results warehouse at {os.fspath(location)!r} (looked for "
             f"{path}); populate one with a --cache-dir sweep first"
         )
-    return ResultsWarehouse.for_cache_dir(os.fspath(location))
+    return ResultsWarehouse.for_cache_dir(os.fspath(location), readonly=True)
 
 
 def resolve_metrics(names: "list[str] | None") -> list[str]:
@@ -81,17 +84,23 @@ def diff_rows(
     Rows pair up by ``cache_key`` (same function + same canonical spec
     hash — the same grid point).  Returns a dict with ``changed`` (one
     entry per shared key and metric where both sides hold a number),
-    ``only_old``/``only_new`` key lists, and ``max_regression_pct``
-    (worst relative increase across all compared metrics; staging and
-    total times regress *upward*).
+    ``only_old``/``only_new`` key lists, ``max_regression_pct`` (worst
+    relative increase across all compared metrics; staging and total
+    times regress *upward*), and ``fingerprint_mismatches``: how many
+    shared keys were written under different (or unrecorded) model
+    fingerprints.  A mismatch is reported, never a failure — comparing
+    two models' numbers is what a diff across commits is for.
     """
     old_by_key = {row["cache_key"]: row for row in old_rows}
     new_by_key = {row["cache_key"]: row for row in new_rows}
     shared = sorted(old_by_key.keys() & new_by_key.keys())
     changed = []
     max_regression = 0.0
+    mismatches = 0
     for key in shared:
         old_row, new_row = old_by_key[key], new_by_key[key]
+        if old_row.get("model_fingerprint") != new_row.get("model_fingerprint"):
+            mismatches += 1
         for metric in metrics:
             old_value, new_value = old_row.get(metric), new_row.get(metric)
             if not isinstance(old_value, (int, float)) or not isinstance(
@@ -121,13 +130,14 @@ def diff_rows(
         "only_old": sorted(old_by_key.keys() - new_by_key.keys()),
         "only_new": sorted(new_by_key.keys() - old_by_key.keys()),
         "max_regression_pct": max_regression,
+        "fingerprint_mismatches": mismatches,
     }
 
 
 def export_document(store: ResultsWarehouse) -> dict:
     """The whole warehouse as one JSON-ready document (no payloads)."""
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": store.schema_version,
         "commit": current_commit(),
         "row_count": len(store),
         "rows": store.rows(),

@@ -7,7 +7,9 @@ grids.  The pickled result object rides along as an opaque payload (the
 exact value the sweep runner replays, bit-identical), while the
 queryable surface is *typed columns*: engine, distribution label, task
 and node counts, the per-rank/staging phase percentiles, plus the spec
-JSON, the git commit and a timestamp.
+JSON, the git commit, the model fingerprint and a timestamp.  Scenario
+and workload rows also keep the service's answer, :func:`result_document`
+as canonical JSON, so a warm request is answered by one SELECT.
 
 ``SCHEMA_VERSION`` is stamped into the ``meta`` table on creation and
 checked on every open; a mismatched warehouse is rebuilt with its row
@@ -17,12 +19,20 @@ read.
 
 from __future__ import annotations
 
+import json
 from typing import Mapping
 
 #: Bump on any breaking change to the table layout below.  Opening a
 #: warehouse written by a different version never reads its rows — they
 #: are counted, reported and dropped (:mod:`repro.results.migrate`).
-SCHEMA_VERSION = 1
+#: Version 2 added the ``document`` and ``model_fingerprint`` columns.
+SCHEMA_VERSION = 2
+
+#: The sweep-runner function names that key scenario and workload rows,
+#: and the result kind whose :func:`result_document` each row stores.
+SCENARIO_FUNC = "_eval_scenario_point"
+WORKLOAD_FUNC = "_eval_workload_point"
+DOCUMENT_KINDS = {SCENARIO_FUNC: "scenario", WORKLOAD_FUNC: "workload"}
 
 #: File name of the warehouse inside a ``cache_dir``.
 WAREHOUSE_FILENAME = "warehouse.sqlite3"
@@ -75,12 +85,16 @@ CREATE TABLE IF NOT EXISTS meta (
 )
 """
 
+#: ``model_fingerprint`` and ``document`` come before ``payload``: a read
+#: of either then never walks the payload's overflow pages.
 CREATE_RESULTS = """
 CREATE TABLE IF NOT EXISTS results (
     cache_key TEXT PRIMARY KEY,
     func TEXT,
     result_key TEXT,
     kind TEXT NOT NULL,
+    model_fingerprint TEXT,
+    document TEXT,
     payload BLOB NOT NULL,
     spec_json TEXT,
     engine TEXT,
@@ -116,6 +130,8 @@ CREATE_INDEXES = (
     "CREATE INDEX IF NOT EXISTS ix_results_func_key"
     " ON results (func, result_key)",
     "CREATE INDEX IF NOT EXISTS ix_results_commit ON results (git_commit)",
+    "CREATE INDEX IF NOT EXISTS ix_results_result_key"
+    " ON results (result_key, updated_at)",
 )
 
 
@@ -231,11 +247,49 @@ def extract_columns(result: object) -> dict:
     return columns
 
 
-def row_as_dict(row: Mapping) -> dict:
-    """One warehouse row as a JSON-ready dict (payload blob excluded)."""
-    import json
+def result_document(kind: str, spec_hash: str, result: object) -> dict:
+    """A finished simulation as the service's JSON result shape.
 
-    data = {key: row[key] for key in row.keys() if key != "payload"}
+    Built from :func:`extract_columns`, the same typed-column view the
+    warehouse stores.  :meth:`~repro.results.store.ResultsWarehouse.store`
+    keeps its canonical JSON (:func:`encode_document`) in the row, so a
+    cold worker result and a warm warehouse read of the same spec hash
+    are the same bytes.
+    """
+    return document_from_columns(
+        kind, spec_hash, result, extract_columns(result)
+    )
+
+
+def document_from_columns(
+    kind: str, spec_hash: str, result: object, columns: dict
+) -> dict:
+    """:func:`result_document` from an :func:`extract_columns` view
+    already in hand (the warehouse's store path)."""
+    return {
+        "kind": kind,
+        "report": type(result).__name__,
+        "spec_hash": spec_hash,
+        "columns": {
+            name: value
+            for name, value in columns.items()
+            if name != "metrics" and value is not None
+        },
+        "metrics": columns["metrics"],
+    }
+
+
+def encode_document(document: dict) -> str:
+    """The canonical JSON text of a result document (sorted keys)."""
+    return json.dumps(document, sort_keys=True)
+
+
+def row_as_dict(row: Mapping) -> dict:
+    """One warehouse row as a JSON-ready dict (payload blob and stored
+    result document excluded)."""
+    data = {
+        key: row[key] for key in row.keys() if key not in ("payload", "document")
+    }
     raw = data.pop("metrics_json", None)
     data["metrics"] = json.loads(raw) if raw else {}
     return data

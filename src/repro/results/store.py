@@ -17,6 +17,11 @@ file:
   engine, distribution label) plus spec JSON, git commit and
   timestamps, so stored sweeps are queryable and diffable across
   commits (:mod:`repro.results.query`).
+- **Model fingerprint** — every row records :func:`model_fingerprint`,
+  a hash of the simulator's sources; a row written by other code reads
+  as a miss, so a model change never replays stale numbers.
+- **Stored answers** — scenario and workload rows keep the service's
+  result document as canonical JSON (:meth:`ResultsWarehouse.load_document`).
 
 Rows written by older versions may lack their ``func``/``result_key``
 metadata; :meth:`ResultsWarehouse.load` backfills it on the first hit.
@@ -33,15 +38,19 @@ import subprocess
 import warnings
 from datetime import datetime, timezone
 from functools import lru_cache
+from pathlib import Path
 
 from repro.errors import ConfigError
 from repro.results.schema import (
     CREATE_INDEXES,
     CREATE_META,
     CREATE_RESULTS,
+    DOCUMENT_KINDS,
     PRAGMAS,
     SCHEMA_VERSION,
     WAREHOUSE_FILENAME,
+    document_from_columns,
+    encode_document,
     extract_columns,
     row_as_dict,
 )
@@ -71,6 +80,22 @@ def current_commit() -> "str | None":
     if proc.returncode != 0:
         return None
     return proc.stdout.strip() or None
+
+
+@lru_cache(maxsize=1)
+def model_fingerprint() -> str:
+    """sha256 of the simulator's sources, computed once per process.
+
+    Hashes every ``*.py`` file of the ``repro`` package, in sorted
+    relative-path order, path and bytes both, so any change to the code
+    that produced a row (or a file added or removed) changes the value.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 def _utcnow() -> str:
@@ -114,6 +139,8 @@ class ResultsWarehouse:
             os.makedirs(parent, exist_ok=True)
         self._conn: sqlite3.Connection | None = None
         self._pid = -1
+        #: The schema version a read-only handle found on open.
+        self._version: "int | None" = None
         #: Rows that existed but could not be read back: unpicklable
         #: payloads, torn rows, schema-version mismatches.  Never folded
         #: into cache misses.
@@ -189,7 +216,9 @@ class ResultsWarehouse:
         return conn
 
     def _check_schema_readonly(self, conn: sqlite3.Connection) -> None:
-        """Read-only opens verify the version instead of migrating."""
+        """Read-only opens record the version instead of migrating: the
+        typed columns of any version can be queried, but only the current
+        version serves cached results (:meth:`_cache_conn`)."""
         try:
             row = conn.execute(
                 "SELECT value FROM meta WHERE key = 'schema_version'"
@@ -199,18 +228,24 @@ class ResultsWarehouse:
                 f"results warehouse {self.path} has no schema "
                 f"({exc}); open it read-write once to initialize"
             ) from exc
-        version = int(row["value"]) if row is not None else None
-        if version != SCHEMA_VERSION:
+        self._version = int(row["value"]) if row is not None else None
+
+    def _cache_conn(self) -> "sqlite3.Connection | None":
+        """The connection for the cache surface; a read-only handle on a
+        warehouse of another schema version is an explicit error."""
+        conn = self._connect_opt()
+        if conn is not None and self.readonly and self._version != SCHEMA_VERSION:
             raise ConfigError(
                 f"results warehouse {self.path} is schema version "
-                f"{version}, expected {SCHEMA_VERSION}; open it "
+                f"{self._version}, expected {SCHEMA_VERSION}; open it "
                 f"read-write once to migrate"
             )
+        return conn
 
     def _ensure_schema(self, conn: sqlite3.Connection) -> None:
         from repro.results.migrate import ensure_schema
 
-        dropped = ensure_schema(conn)
+        dropped = ensure_schema(conn, model_fingerprint())
         if dropped:
             self.corrupt += dropped
             warnings.warn(
@@ -248,19 +283,22 @@ class ResultsWarehouse:
     def load(self, func_name: str, key: str) -> "object | None":
         """The stored result for a grid point, or None on a miss.
 
-        A row whose payload cannot be unpickled (report classes moved
-        on, torn write survived a crash) is deleted, counted in
-        :attr:`corrupt` and reported — the caller sees a miss and
-        recomputes, but the poisoning is visible.
+        A row written under another :func:`model_fingerprint` is a miss:
+        the caller recomputes and its store overwrites the row.  A row
+        whose payload cannot be unpickled (report classes moved on, torn
+        write survived a crash) is deleted, counted in :attr:`corrupt`
+        and reported — the caller sees a miss and recomputes, but the
+        poisoning is visible.
         """
         digest = cache_key(func_name, key)
-        conn = self._connect_opt()
+        conn = self._cache_conn()
         if conn is None:
             return None
         try:
             row = conn.execute(
-                "SELECT payload, func FROM results WHERE cache_key = ?",
-                (digest,),
+                "SELECT payload, func FROM results"
+                " WHERE cache_key = ? AND model_fingerprint = ?",
+                (digest, model_fingerprint()),
             ).fetchone()
         except sqlite3.DatabaseError as exc:
             conn.close()
@@ -281,19 +319,20 @@ class ResultsWarehouse:
         return result
 
     def load_by_result_key(self, result_key: str) -> "dict | None":
-        """The newest row whose ``result_key`` (spec hash) matches.
+        """The newest current-model row whose ``result_key`` (spec hash)
+        matches.
 
         Returns ``{"row": <row dict>, "result": <unpickled payload>}``
-        or None — the direct-read surface behind the service's
-        ``GET /v1/results/{spec_hash}`` endpoint.
+        or None.
         """
-        conn = self._connect_opt()
+        conn = self._cache_conn()
         if conn is None:
             return None
         row = conn.execute(
             "SELECT * FROM results WHERE result_key = ?"
+            " AND model_fingerprint = ?"
             " ORDER BY updated_at DESC, cache_key LIMIT 1",
-            (result_key,),
+            (result_key, model_fingerprint()),
         ).fetchone()
         if row is None:
             return None
@@ -303,6 +342,38 @@ class ResultsWarehouse:
         if result is None:
             return None
         return {"row": row_as_dict(row), "result": result}
+
+    def load_document(self, func_name: str, key: str) -> "str | None":
+        """The stored result document of a scenario or workload point,
+        as its canonical JSON text, or None on a miss — one SELECT by
+        primary key, no unpickling.  The service's warm ``POST``."""
+        conn = self._cache_conn()
+        if conn is None:
+            return None
+        row = conn.execute(
+            "SELECT document FROM results"
+            " WHERE cache_key = ? AND model_fingerprint = ?",
+            (cache_key(func_name, key), model_fingerprint()),
+        ).fetchone()
+        return None if row is None else row[0]
+
+    def load_document_by_result_key(self, result_key: str) -> "dict | None":
+        """The newest current-model row with a stored document whose
+        ``result_key`` (spec hash) matches, as a dict of ``func``,
+        ``kind``, ``git_commit``, ``created_at``, ``updated_at`` and
+        ``document`` (canonical JSON text), or None.  The service's
+        ``GET /v1/results/{spec_hash}``."""
+        conn = self._cache_conn()
+        if conn is None:
+            return None
+        row = conn.execute(
+            "SELECT func, kind, git_commit, created_at, updated_at, document"
+            " FROM results WHERE result_key = ? AND model_fingerprint = ?"
+            " AND document IS NOT NULL"
+            " ORDER BY updated_at DESC, cache_key LIMIT 1",
+            (result_key, model_fingerprint()),
+        ).fetchone()
+        return None if row is None else dict(row)
 
     def _unpickle(
         self,
@@ -349,6 +420,12 @@ class ResultsWarehouse:
         digest = cache_key(func_name, key)
         payload = pickle.dumps(result)
         columns = extract_columns(result)
+        kind = DOCUMENT_KINDS.get(func_name)
+        document = None
+        if kind is not None:
+            document = encode_document(
+                document_from_columns(kind, key, result, columns)
+            )
         metrics = columns.pop("metrics")
         now = _utcnow()
         conn = self._connect()
@@ -363,7 +440,8 @@ class ResultsWarehouse:
                     total_p50, total_p95, total_max, total_skew_s,
                     startup_p50, startup_p95, startup_max, startup_skew_s,
                     staging_p50, staging_p95, staging_max, staging_skew_s,
-                    metrics_json, git_commit, created_at, updated_at
+                    metrics_json, document, model_fingerprint,
+                    git_commit, created_at, updated_at
                 ) VALUES (
                     :cache_key, :func, :result_key, :kind, :payload,
                     :spec_json,
@@ -374,7 +452,8 @@ class ResultsWarehouse:
                     :startup_skew_s,
                     :staging_p50, :staging_p95, :staging_max,
                     :staging_skew_s,
-                    :metrics_json, :git_commit, :created_at, :updated_at
+                    :metrics_json, :document, :model_fingerprint,
+                    :git_commit, :created_at, :updated_at
                 )
                 ON CONFLICT (cache_key) DO UPDATE SET
                     func = excluded.func,
@@ -405,6 +484,8 @@ class ResultsWarehouse:
                     staging_max = excluded.staging_max,
                     staging_skew_s = excluded.staging_skew_s,
                     metrics_json = excluded.metrics_json,
+                    document = excluded.document,
+                    model_fingerprint = excluded.model_fingerprint,
                     git_commit = excluded.git_commit,
                     updated_at = excluded.updated_at
                 """,
@@ -416,6 +497,8 @@ class ResultsWarehouse:
                     "payload": payload,
                     "spec_json": spec_json,
                     "metrics_json": json.dumps(metrics, sort_keys=True),
+                    "document": document,
+                    "model_fingerprint": model_fingerprint(),
                     "git_commit": current_commit(),
                     "created_at": now,
                     "updated_at": now,
@@ -509,6 +592,7 @@ __all__ = [
     "ResultsWarehouse",
     "cache_key",
     "current_commit",
+    "model_fingerprint",
     "resolve_warehouse_path",
     "SCHEMA_VERSION",
     "CREATE_META",

@@ -3,15 +3,17 @@
 :data:`SCENARIO_JSON_SCHEMA` is a draft-07-style document describing
 exactly what :meth:`ScenarioSpec.to_dict` emits and
 :meth:`ScenarioSpec.from_dict` accepts; a golden test pins it so schema
-drift is an explicit, reviewed change.  :func:`validate_spec_dict` walks
-the schema itself (a small built-in interpreter for the keyword subset
-the schema uses), so the document *is* the validator — no external
-``jsonschema`` dependency, and no way for the two to disagree.
+drift is an explicit, reviewed change.  :func:`compile_schema` turns
+the schema itself into nested validator closures (for the keyword
+subset the schema uses), so the document *is* the validator — no
+external ``jsonschema`` dependency, and no way for the two to disagree.
+The scenario, workload and fault schemas each compile once per process.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections import abc
+from typing import Callable, Mapping
 
 from repro.core.builds import BuildMode
 from repro.dist.topology import SOURCES, Topology
@@ -20,7 +22,7 @@ from repro.errors import ConfigError
 from repro.faults.schema import FAULT_JSON_SCHEMA
 from repro.scenario.spec import ENGINES, OS_PROFILES, SPEC_VERSION
 
-#: Keyword subset the built-in interpreter understands.
+#: Keyword subset the schema compiler understands.
 _SUPPORTED_KEYWORDS = frozenset(
     {
         "$schema",
@@ -39,6 +41,23 @@ _SUPPORTED_KEYWORDS = frozenset(
         "exclusiveMaximum",
     }
 )
+
+#: A compiled schema: ``check(document, path)`` raises or returns None.
+Validator = Callable[[object, str], None]
+
+#: The classes each JSON type name accepts (``boolean`` is special-cased:
+#: bool is an int subclass that only ``boolean`` accepts).
+_TYPE_CLASSES = {
+    "object": (dict, abc.Mapping),
+    "array": (list, tuple),
+    "string": (str,),
+    "integer": (int,),
+    "number": (int, float),
+    "null": (type(None),),
+}
+
+#: id(schema) -> (schema, its compiled validator).
+_COMPILED: "dict[int, tuple[Mapping, Validator]]" = {}
 
 # Enums are derived from the registries/enums they describe, so the
 # schema cannot drift from the code — only from the golden test.
@@ -172,98 +191,155 @@ SCENARIO_JSON_SCHEMA = {
 }
 
 
-def _type_matches(value: object, type_name: str) -> bool:
-    if type_name == "object":
-        return isinstance(value, Mapping)
-    if type_name == "array":
-        return isinstance(value, (list, tuple))
-    if type_name == "string":
-        return isinstance(value, str)
-    if type_name == "boolean":
-        return isinstance(value, bool)
-    if type_name == "integer":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if type_name == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if type_name == "null":
-        return value is None
-    raise ConfigError(f"schema bug: unknown type keyword {type_name!r}")
+def _accepted_classes(names: "list[str]") -> "tuple[tuple, bool]":
+    """The classes a ``type`` keyword's names accept, and whether bool
+    is one of them (bool is an int subclass only ``boolean`` accepts)."""
+    classes: list = []
+    for name in names:
+        if name not in _TYPE_CLASSES and name != "boolean":
+            raise ConfigError(f"schema bug: unknown type keyword {name!r}")
+        classes.extend(_TYPE_CLASSES.get(name, ()))
+    return tuple(dict.fromkeys(classes)), "boolean" in names
 
 
-def _validate(value: object, schema: Mapping, path: str) -> None:
+def _compile(schema: Mapping) -> Validator:
+    """A validator closure for one schema node (sub-schemas compiled
+    through :func:`compile_schema`, so a shared node compiles once).
+
+    Every check runs in the interpreter's order and raises its text.
+    """
     for keyword in schema:
         if keyword not in _SUPPORTED_KEYWORDS:
             raise ConfigError(
-                f"schema bug: unsupported keyword {keyword!r} at {path}"
+                f"schema bug: unsupported keyword {keyword!r} in {schema!r}"
             )
-    if "const" in schema and value != schema["const"]:
-        raise ConfigError(
-            f"{path}: expected {schema['const']!r}, got {value!r}"
-        )
-    if "type" in schema:
-        names = schema["type"]
-        if isinstance(names, str):
-            names = [names]
-        if not any(_type_matches(value, name) for name in names):
+    has_const = "const" in schema
+    const = schema.get("const")
+    names = schema.get("type")
+    if isinstance(names, str):
+        names = [names]
+    typed = names is not None
+    accepted, allow_bool = _accepted_classes(names) if typed else ((), False)
+    type_label = "/".join(names) if typed else ""
+    enum = schema.get("enum")
+    try:
+        enum_set = frozenset(enum or ())
+    except TypeError:  # an unhashable member: every lookup scans the list
+        enum_set = frozenset()
+    minimum = schema.get("minimum")
+    maximum = schema.get("maximum")
+    above = schema.get("exclusiveMinimum")
+    below = schema.get("exclusiveMaximum")
+    bounded = any(
+        limit is not None for limit in (minimum, maximum, above, below)
+    )
+    items = compile_schema(schema["items"]) if "items" in schema else None
+    properties = {
+        key: compile_schema(sub)
+        for key, sub in schema.get("properties", {}).items()
+    }
+    required = tuple(schema.get("required", ()))
+    additional = schema.get("additionalProperties", True)
+    reject_unknown = additional is False
+    additional_check = (
+        compile_schema(additional) if isinstance(additional, Mapping) else None
+    )
+    known = sorted(properties)
+    checks_mapping = bool(
+        properties or required or reject_unknown or additional_check
+    )
+
+    def check(value: object, path: str) -> None:
+        if has_const and value != const:
+            raise ConfigError(f"{path}: expected {const!r}, got {value!r}")
+        if typed and not (
+            allow_bool if value.__class__ is bool else isinstance(value, accepted)
+        ):
             raise ConfigError(
-                f"{path}: expected {'/'.join(names)}, got "
+                f"{path}: expected {type_label}, got "
                 f"{type(value).__name__} ({value!r})"
             )
-    if value is None:
-        return  # nullable fields carry no further constraints
-    if "enum" in schema and value not in schema["enum"]:
-        raise ConfigError(
-            f"{path}: {value!r} is not one of {schema['enum']}"
-        )
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if "minimum" in schema and value < schema["minimum"]:
-            raise ConfigError(
-                f"{path}: {value!r} is below the minimum {schema['minimum']}"
-            )
-        if "maximum" in schema and value > schema["maximum"]:
-            raise ConfigError(
-                f"{path}: {value!r} is above the maximum {schema['maximum']}"
-            )
-        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
-            raise ConfigError(
-                f"{path}: {value!r} must be greater than "
-                f"{schema['exclusiveMinimum']}"
-            )
-        if "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"]:
-            raise ConfigError(
-                f"{path}: {value!r} must be less than "
-                f"{schema['exclusiveMaximum']}"
-            )
-    if isinstance(value, (list, tuple)) and "items" in schema:
-        for index, item in enumerate(value):
-            _validate(item, schema["items"], f"{path}[{index}]")
-    if isinstance(value, Mapping):
-        properties = schema.get("properties", {})
-        for key in schema.get("required", ()):
-            if key not in value:
-                raise ConfigError(f"{path}: missing required field {key!r}")
-        additional = schema.get("additionalProperties", True)
-        for key, item in value.items():
-            if key in properties:
-                _validate(item, properties[key], f"{path}.{key}")
-            elif additional is False:
+        if value is None:
+            return  # nullable fields carry no further constraints
+        if enum is not None:
+            try:
+                found = value in enum_set
+            except TypeError:  # unhashable: the list's == scan
+                found = False
+            if not found and value not in enum:
+                raise ConfigError(f"{path}: {value!r} is not one of {enum}")
+        if bounded and value.__class__ is not bool and isinstance(
+            value, (int, float)
+        ):
+            if minimum is not None and value < minimum:
                 raise ConfigError(
-                    f"{path}: unknown field {key!r}; known fields: "
-                    f"{sorted(properties)}"
+                    f"{path}: {value!r} is below the minimum {minimum}"
                 )
-            elif isinstance(additional, Mapping):
-                _validate(item, additional, f"{path}.{key}")
+            if maximum is not None and value > maximum:
+                raise ConfigError(
+                    f"{path}: {value!r} is above the maximum {maximum}"
+                )
+            if above is not None and value <= above:
+                raise ConfigError(
+                    f"{path}: {value!r} must be greater than {above}"
+                )
+            if below is not None and value >= below:
+                raise ConfigError(f"{path}: {value!r} must be less than {below}")
+        if items is not None and isinstance(value, (list, tuple)):
+            for index, item in enumerate(value):
+                items(item, f"{path}[{index}]")
+        if checks_mapping and (
+            value.__class__ is dict or isinstance(value, abc.Mapping)
+        ):
+            for key in required:
+                if key not in value:
+                    raise ConfigError(f"{path}: missing required field {key!r}")
+            for key, item in value.items():
+                sub = properties.get(key)
+                if sub is not None:
+                    sub(item, f"{path}.{key}")
+                elif reject_unknown:
+                    raise ConfigError(
+                        f"{path}: unknown field {key!r}; known fields: {known}"
+                    )
+                elif additional_check is not None:
+                    additional_check(item, f"{path}.{key}")
+
+    return check
+
+
+def compile_schema(schema: Mapping) -> Validator:
+    """The validator for ``schema``: ``check(document, path)`` raises a
+    :class:`ConfigError` naming the first violation, or returns None.
+
+    The schema is walked once, here, into nested closures (one per
+    schema node) that hold its keywords as precomputed locals, so a
+    document is checked without re-reading the schema.  Each schema
+    object compiles once per process.  The error text is that of the
+    keyword-by-keyword interpreter in ``tests/schema_oracle.py``, the
+    test oracle.
+    """
+    entry = _COMPILED.get(id(schema))
+    if entry is not None and entry[0] is schema:
+        return entry[1]
+    check = _compile(schema)
+    # The schema rides along so its id cannot be reused while cached.
+    _COMPILED[id(schema)] = (schema, check)
+    return check
 
 
 def validate_document(data: object, schema: Mapping, path: str = "document") -> None:
-    """Validate any document against a schema with the built-in interpreter.
+    """Validate any document against a schema with its compiled validator.
 
-    The public spelling of the walker behind :func:`validate_spec_dict`,
+    The public spelling of the check behind :func:`validate_spec_dict`,
     for sibling schemas that *embed* :data:`SCENARIO_JSON_SCHEMA` (the
-    workload layer's ``WORKLOAD_JSON_SCHEMA``) so one interpreter serves
+    workload layer's ``WORKLOAD_JSON_SCHEMA``) so one compiler serves
     every published document shape.  ``path`` prefixes error messages.
     """
-    _validate(data, schema, path)
+    compile_schema(schema)(data, path)
+
+
+_check_spec = compile_schema(SCENARIO_JSON_SCHEMA)
 
 
 def validate_spec_dict(data: object) -> None:
@@ -272,11 +348,11 @@ def validate_spec_dict(data: object) -> None:
     Raises :class:`repro.errors.ConfigError` with a JSON-path message on
     the first violation; returns None when the document conforms.
     """
-    if not isinstance(data, Mapping):
+    if not isinstance(data, abc.Mapping):
         raise ConfigError(
             f"spec: expected a JSON object, got {type(data).__name__}"
         )
-    _validate(data, SCENARIO_JSON_SCHEMA, "spec")
+    _check_spec(data, "spec")
 
 
 def parse_spec_document(data: object) -> "ScenarioSpec":

@@ -1,9 +1,12 @@
 """A stdlib HTTP client for the simulation service.
 
-``http.client`` only — the same no-new-deps rule as the server.  One
-fresh connection per request (the server closes connections after each
-response), except :meth:`events`, which holds its connection open and
-yields SSE ``data:`` lines as the server streams them.
+``http.client`` only — the same no-new-deps rule as the server.  Each
+thread keeps one HTTP/1.1 connection open across requests (the server
+keeps connections alive), except :meth:`events`, which opens its own
+connection and yields SSE ``data:`` lines until the server closes it.
+A kept-alive connection the server has since closed is reopened once,
+and only when no byte of the response had arrived, so a request the
+server answered is never sent twice.
 
 Used by the service tests and ``examples/serve_client.py``; also a
 reasonable template for talking to the service from anywhere else.
@@ -13,7 +16,18 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 from typing import Any, Iterator, Mapping
+
+#: Failures of a reused connection that happen before any response
+#: byte arrives: the server closed it while idle, so the request was
+#: never read.
+_STALE_CONNECTION = (
+    http.client.RemoteDisconnected,
+    BrokenPipeError,
+    ConnectionResetError,
+    ConnectionAbortedError,
+)
 
 
 class ServiceError(RuntimeError):
@@ -27,7 +41,11 @@ class ServiceError(RuntimeError):
 
 
 class ServiceClient:
-    """Talks to one ``pynamic-repro serve`` instance."""
+    """Talks to one ``pynamic-repro serve`` instance.
+
+    Safe to share between threads: each thread gets its own kept-alive
+    connection.
+    """
 
     def __init__(
         self, host: str, port: int, timeout: "float | None" = 60.0
@@ -35,6 +53,7 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._local = threading.local()
 
     # -- plumbing ----------------------------------------------------------
     def _request(
@@ -42,24 +61,59 @@ class ServiceClient:
         method: str,
         path: str,
         body: "dict | None" = None,
-        timeout: "float | None" = None,
     ) -> Any:
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=timeout or self.timeout
-        )
+        payload = None
+        headers = {}
+        if body is not None:
+            payload = json.dumps(body).encode()
+            headers["Content-Type"] = "application/json"
+        response = None
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            try:
+                response = self._send(conn, method, path, payload, headers)
+            except _STALE_CONNECTION:
+                pass  # not answered: send it once more, on a new connection
+        if response is None:
+            self._local.conn = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout
+            )
+            response = self._send(
+                self._local.conn, method, path, payload, headers
+            )
         try:
-            payload = None
-            headers = {}
-            if body is not None:
-                payload = json.dumps(body).encode()
-                headers["Content-Type"] = "application/json"
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
             data = json.loads(response.read() or b"null")
-            if response.status >= 400:
-                raise ServiceError(response.status, data)
-            return data
-        finally:
+        except BaseException:
+            self.close()
+            raise
+        if response.status >= 400:
+            raise ServiceError(response.status, data)
+        return data
+
+    def _send(
+        self,
+        conn: http.client.HTTPConnection,
+        method: str,
+        path: str,
+        payload: "bytes | None",
+        headers: dict,
+    ) -> http.client.HTTPResponse:
+        """Send one request and read its status line and headers; any
+        failure closes the connection."""
+        try:
+            conn.request(method, path, body=payload, headers=headers)
+            return conn.getresponse()
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        """Close the calling thread's kept-alive connection (its next
+        request opens a new one).  Each thread closes its own, before it
+        ends, or the socket is closed only when it is collected."""
+        conn = getattr(self._local, "conn", None)
+        self._local.conn = None
+        if conn is not None:
             conn.close()
 
     # -- the API -----------------------------------------------------------

@@ -5,17 +5,24 @@ request reader (the surface is five well-known endpoints, not a web
 framework's worth of routing), ``http.HTTPStatus`` for the status
 line, and a ``ProcessPoolExecutor`` for the actual simulating.
 
+Connections are kept alive: each one serves requests in a loop until
+the client sends ``Connection: close`` or speaks HTTP/1.0, an error
+reply leaves request input unread (a bad head, an oversized or
+``Transfer-Encoding`` body), an event stream ends, the server stops,
+or no request arrives for :data:`KEEPALIVE_IDLE_S` seconds.
+
 Request flow for ``POST /v1/jobs``:
 
 1. parse + schema-validate the body through the shared
    :func:`parse_spec_document` / :func:`parse_workload_document`
    entries (a bad field is a 400 with the field-naming ``ConfigError``
    message, same text the CLI prints);
-2. check the warehouse and answer a warm hash instantly with
-   ``cached: true``.  The server keeps one read-only handle open from
-   start to stop, on a reader thread of its own (see
-   :class:`WarehouseReader`), so the check never blocks the event loop
-   and never queues behind the writer pool;
+2. read the hash's stored result document and answer a warm hash
+   instantly with ``cached: true``: one SELECT, whose canonical JSON is
+   spliced into the response unchanged (:class:`RawJSON`).  The server
+   keeps one read-only handle open from start to stop, on a reader
+   thread of its own (see :class:`WarehouseReader`), so the read never
+   blocks the event loop and never queues behind the writer pool;
 3. otherwise dedup against the registry (an in-flight job for the same
    hash is shared, not re-simulated) or submit to the pool.
 
@@ -28,9 +35,10 @@ reads lines until EOF, which is exactly what SSE-over-HTTP/1.0
 semantics allow without chunked-encoding machinery.
 
 Graceful shutdown (:meth:`SimulationServer.stop`): stop accepting,
-cancel never-started jobs (marked ``abandoned``), wait for in-flight
-workers to finish — they commit to the warehouse themselves, so every
-completed result survives — then emit the terminal events and close.
+close idle kept-alive connections, cancel never-started jobs (marked
+``abandoned``), wait for in-flight workers to finish — they commit to
+the warehouse themselves, so every completed result survives — then
+emit the terminal events and close.
 """
 
 from __future__ import annotations
@@ -50,19 +58,21 @@ from typing import Callable
 from urllib.parse import unquote, urlsplit
 
 from repro.errors import ConfigError
+from repro.results.schema import SCENARIO_FUNC, WORKLOAD_FUNC
 from repro.service.jobs import JobRegistry
-from repro.service.worker import init_worker, result_document, run_job
+from repro.service.worker import init_worker, run_job
 
 #: Largest request body the server will read (a spec document is KBs).
 MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Longest request line or header line (asyncio's default stream limit);
 #: a longer one is answered 431.
 MAX_LINE_BYTES = 64 * 1024
-
-#: Warehouse row namespaces (the sweep-runner function names that key
-#: scenario and workload rows).
-SCENARIO_FUNC = "_eval_scenario_point"
-WORKLOAD_FUNC = "_eval_workload_point"
+#: Seconds a kept-alive connection may wait for its next request before
+#: the server closes it.
+KEEPALIVE_IDLE_S = 15.0
+#: Seconds an error reply that closes the connection waits for the
+#: client to stop sending (see :func:`_linger`).
+LINGER_S = 1.0
 
 
 @dataclass
@@ -85,6 +95,16 @@ class _HttpError(Exception):
         super().__init__(detail)
         self.status = status
         self.body = {"error": error, "detail": detail}
+
+
+class RawJSON:
+    """JSON text that :func:`_encode` splices into a response unchanged
+    (a result document read from its warehouse row)."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
 
 
 class WarehouseReader:
@@ -182,6 +202,9 @@ class SimulationServer:
         #: job_id -> the pool-side future (cancellable only pre-start,
         #: which is exactly the abandoned-vs-drained distinction).
         self._pool_futures: dict = {}
+        #: Transports of connections waiting for their next request:
+        #: stop() closes them, busy ones close after their reply.
+        self._idle: set = set()
         self._stopping = False
 
     @property
@@ -235,8 +258,9 @@ class SimulationServer:
         """Graceful shutdown: drain in-flight, abandon the queue."""
         self._stopping = True
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+            self._server.close()  # stop accepting
+        for transport in list(self._idle):
+            transport.close()
         # Queued-but-not-started jobs: cancel the pool future — which
         # only succeeds before a worker picks the job up, so this is
         # precisely "abandon the queue, drain the in-flight".  The
@@ -256,6 +280,11 @@ class SimulationServer:
             self._progress_queue.put(None)  # stop the drain thread
         if self._drain_thread is not None:
             self._drain_thread.join(timeout=10)
+        if self._server is not None:
+            # After the drain: on Python 3.12+ this also waits for every
+            # connection to close, and event streams close only once
+            # their job has its terminal event.
+            await self._server.wait_closed()
         if self._reader is not None:
             await self._reader.close()
 
@@ -333,25 +362,44 @@ class SimulationServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve requests on one connection until it should close."""
+        transport = writer.transport
+        loop = asyncio.get_running_loop()
         try:
-            try:
-                request = await _read_request(reader)
-                if request is not None:
-                    await self._route(writer, *request)
-            except _HttpError as exc:
-                await _send_json(writer, exc.status, exc.body)
-            except ConnectionError:
-                pass
-            except Exception as exc:
-                with contextlib.suppress(ConnectionError):
-                    await _send_json(
-                        writer,
-                        HTTPStatus.INTERNAL_SERVER_ERROR,
-                        {
-                            "error": "internal",
-                            "detail": f"{type(exc).__name__}: {exc}",
-                        },
-                    )
+            while not self._stopping:
+                self._idle.add(transport)
+                idle = loop.call_later(KEEPALIVE_IDLE_S, transport.close)
+                try:
+                    request = await _read_request(reader)
+                except _HttpError as exc:
+                    await _send_json(writer, exc.status, exc.body, False)
+                    await _linger(reader, writer)
+                    return
+                finally:
+                    idle.cancel()
+                    self._idle.discard(transport)
+                if request is None:
+                    return
+                method, path, body, keep_alive = request
+                try:
+                    reply = await self._route(writer, method, path, body)
+                except _HttpError as exc:
+                    reply = exc.status, exc.body
+                except ConnectionError:
+                    return
+                except Exception as exc:
+                    reply = HTTPStatus.INTERNAL_SERVER_ERROR, {
+                        "error": "internal",
+                        "detail": f"{type(exc).__name__}: {exc}",
+                    }
+                if reply is None:
+                    return  # an event stream, which ends with the connection
+                keep_alive = keep_alive and not self._stopping
+                await _send_json(writer, *reply, keep_alive)
+                if not keep_alive:
+                    return
+        except ConnectionError:
+            pass
         finally:
             with contextlib.suppress(Exception):
                 writer.close()
@@ -363,34 +411,31 @@ class SimulationServer:
         method: str,
         path: str,
         body: bytes,
-    ) -> None:
+    ) -> "tuple[HTTPStatus, dict] | None":
+        """The (status, payload) reply to one request; None when the
+        endpoint wrote its own response (an event stream)."""
         if method == "POST" and path == "/v1/jobs":
-            await self._post_job(writer, body)
-        elif method == "GET" and path.startswith("/v1/jobs/"):
+            return await self._post_job(body)
+        if method == "GET" and path.startswith("/v1/jobs/"):
             rest = path[len("/v1/jobs/"):]
             if rest.endswith("/events"):
                 await self._get_events(writer, rest[: -len("/events")].rstrip("/"))
-            else:
-                await self._get_job(writer, rest)
-        elif method == "GET" and path.startswith("/v1/results/"):
-            await self._get_result(writer, path[len("/v1/results/"):])
-        elif method == "GET" and path == "/v1/presets":
-            await self._get_presets(writer)
-        elif method == "GET" and path == "/healthz":
-            await self._get_healthz(writer)
-        elif method == "GET" and path == "/metrics":
-            await self._get_metrics(writer)
-        else:
-            raise _HttpError(
-                HTTPStatus.NOT_FOUND,
-                "not-found",
-                f"no route for {method} {path}",
-            )
+                return None
+            return self._get_job(rest)
+        if method == "GET" and path.startswith("/v1/results/"):
+            return await self._get_result(path[len("/v1/results/"):])
+        if method == "GET" and path == "/v1/presets":
+            return self._get_presets()
+        if method == "GET" and path == "/healthz":
+            return self._get_healthz()
+        if method == "GET" and path == "/metrics":
+            return await self._get_metrics()
+        raise _HttpError(
+            HTTPStatus.NOT_FOUND, "not-found", f"no route for {method} {path}"
+        )
 
     # -- endpoints ---------------------------------------------------------
-    async def _post_job(
-        self, writer: asyncio.StreamWriter, body: bytes
-    ) -> None:
+    async def _post_job(self, body: bytes) -> "tuple[HTTPStatus, dict]":
         if self._stopping:
             raise _HttpError(
                 HTTPStatus.SERVICE_UNAVAILABLE,
@@ -423,46 +468,36 @@ class SimulationServer:
                 HTTPStatus.BAD_REQUEST, "invalid-spec", str(exc)
             ) from exc
         counters = self.registry.counters
-        doc = spec.to_dict()
-        cached = await self._warehouse(
-            lambda warehouse: warehouse.load(func_name, spec_hash)
+        document = await self._warehouse(
+            lambda warehouse: warehouse.load_document(func_name, spec_hash)
         )
-        if cached is not None:
+        if document is not None:
             counters["warehouse_hits"] += 1
             counters["jobs_cached"] += 1
             job = self.registry.create_cached(
-                kind, spec_hash, doc, result_document(kind, spec_hash, cached)
+                kind, spec_hash, data, RawJSON(document)
             )
-            await _send_json(
-                writer,
-                HTTPStatus.OK,
-                {
-                    "job_id": job.job_id,
-                    "spec_hash": spec_hash,
-                    "status": "done",
-                    "cached": True,
-                    "result": job.result,
-                },
-            )
-            return
+            return HTTPStatus.OK, {
+                "job_id": job.job_id,
+                "spec_hash": spec_hash,
+                "status": "done",
+                "cached": True,
+                "result": job.result,
+            }
         counters["warehouse_misses"] += 1
         active = self.registry.active_for(spec_hash)
         if active is not None:
             counters["jobs_deduplicated"] += 1
-            await _send_json(
-                writer,
-                HTTPStatus.ACCEPTED,
-                {
-                    "job_id": active.job_id,
-                    "spec_hash": spec_hash,
-                    "status": active.status,
-                    "cached": False,
-                    "deduplicated": True,
-                    "events": f"/v1/jobs/{active.job_id}/events",
-                },
-            )
-            return
+            return HTTPStatus.ACCEPTED, {
+                "job_id": active.job_id,
+                "spec_hash": spec_hash,
+                "status": active.status,
+                "cached": False,
+                "deduplicated": True,
+                "events": f"/v1/jobs/{active.job_id}/events",
+            }
         counters["jobs_submitted"] += 1
+        doc = spec.to_dict()
         job = self.registry.create(kind, spec_hash, doc)
         assert self._loop is not None and self._pool is not None
         pool_future = self._pool.submit(
@@ -473,25 +508,21 @@ class SimulationServer:
         finisher = asyncio.ensure_future(self._finish_job(job, job.aio_future))
         self._finishers.add(finisher)
         finisher.add_done_callback(self._finishers.discard)
-        await _send_json(
-            writer,
-            HTTPStatus.ACCEPTED,
-            {
-                "job_id": job.job_id,
-                "spec_hash": spec_hash,
-                "status": job.status,
-                "cached": False,
-                "events": f"/v1/jobs/{job.job_id}/events",
-            },
-        )
+        return HTTPStatus.ACCEPTED, {
+            "job_id": job.job_id,
+            "spec_hash": spec_hash,
+            "status": job.status,
+            "cached": False,
+            "events": f"/v1/jobs/{job.job_id}/events",
+        }
 
-    async def _get_job(self, writer: asyncio.StreamWriter, job_id: str) -> None:
+    def _get_job(self, job_id: str) -> "tuple[HTTPStatus, dict]":
         job = self.registry.get(unquote(job_id))
         if job is None:
             raise _HttpError(
                 HTTPStatus.NOT_FOUND, "unknown-job", f"no job {job_id!r}"
             )
-        await _send_json(writer, HTTPStatus.OK, job.to_dict())
+        return HTTPStatus.OK, job.to_dict()
 
     async def _get_events(
         self, writer: asyncio.StreamWriter, job_id: str
@@ -526,62 +557,46 @@ class SimulationServer:
             if queue is not None:
                 self.registry.unsubscribe(job, queue)
 
-    async def _get_result(
-        self, writer: asyncio.StreamWriter, spec_hash: str
-    ) -> None:
+    async def _get_result(self, spec_hash: str) -> "tuple[HTTPStatus, dict]":
         spec_hash = unquote(spec_hash).strip("/")
-        entry = await self._warehouse(
-            lambda warehouse: warehouse.load_by_result_key(spec_hash)
+        row = await self._warehouse(
+            lambda warehouse: warehouse.load_document_by_result_key(spec_hash)
         )
-        if entry is None:
+        if row is None:
             raise _HttpError(
                 HTTPStatus.NOT_FOUND,
                 "unknown-result",
                 f"warehouse has no row for spec hash {spec_hash!r}",
             )
-        row = entry["row"]
-        kind = "workload" if row.get("func") == WORKLOAD_FUNC else "scenario"
-        await _send_json(
-            writer,
-            HTTPStatus.OK,
-            {
-                "spec_hash": spec_hash,
-                "cached": True,
-                "result": result_document(kind, spec_hash, entry["result"]),
-                "row": {
-                    key: row.get(key)
-                    for key in ("kind", "git_commit", "created_at", "updated_at")
-                },
+        return HTTPStatus.OK, {
+            "spec_hash": spec_hash,
+            "cached": True,
+            "result": RawJSON(row["document"]),
+            "row": {
+                key: row[key]
+                for key in ("kind", "git_commit", "created_at", "updated_at")
             },
-        )
+        }
 
-    async def _get_presets(self, writer: asyncio.StreamWriter) -> None:
+    def _get_presets(self) -> "tuple[HTTPStatus, dict]":
         from repro.scenario import scenario_preset_names
         from repro.workload import workload_preset_names
 
-        await _send_json(
-            writer,
-            HTTPStatus.OK,
-            {
-                "scenarios": list(scenario_preset_names()),
-                "workloads": list(workload_preset_names()),
-            },
-        )
+        return HTTPStatus.OK, {
+            "scenarios": list(scenario_preset_names()),
+            "workloads": list(workload_preset_names()),
+        }
 
-    async def _get_healthz(self, writer: asyncio.StreamWriter) -> None:
-        await _send_json(
-            writer,
-            HTTPStatus.OK,
-            {
-                "status": "draining" if self._stopping else "ok",
-                "uptime_s": (
-                    time.time() - self.started_at if self.started_at else 0.0
-                ),
-                "workers": self.config.workers,
-            },
-        )
+    def _get_healthz(self) -> "tuple[HTTPStatus, dict]":
+        return HTTPStatus.OK, {
+            "status": "draining" if self._stopping else "ok",
+            "uptime_s": (
+                time.time() - self.started_at if self.started_at else 0.0
+            ),
+            "workers": self.config.workers,
+        }
 
-    async def _get_metrics(self, writer: asyncio.StreamWriter) -> None:
+    async def _get_metrics(self) -> "tuple[HTTPStatus, dict]":
         metrics = self.registry.metrics()
         running = metrics["jobs_running"]
         metrics["workers"] = self.config.workers
@@ -592,7 +607,7 @@ class SimulationServer:
         metrics["uptime_s"] = (
             time.time() - self.started_at if self.started_at else 0.0
         )
-        await _send_json(writer, HTTPStatus.OK, metrics)
+        return HTTPStatus.OK, metrics
 
 
 def _mp_context():
@@ -643,24 +658,37 @@ async def _skip_head(reader: asyncio.StreamReader) -> None:
 
 async def _read_request(
     reader: asyncio.StreamReader,
-) -> "tuple[str, str, bytes] | None":
-    """One HTTP/1.1 request as (method, path, body); None on EOF."""
+) -> "tuple[str, str, bytes, bool] | None":
+    """One HTTP/1.1 request as (method, path, body, keep_alive); None on
+    EOF.  ``keep_alive`` is False for HTTP/1.0 and ``Connection: close``.
+    An :class:`_HttpError` raised here leaves the request's input unread,
+    so its reply closes the connection."""
     try:
         request_line = await _read_line(reader)
+        while request_line in (b"\r\n", b"\n"):  # stray line ends
+            request_line = await _read_line(reader)
         if not request_line:
             return None
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
             return None
         method, target = parts[0].upper(), parts[1]
+        keep_alive = len(parts) > 2 and parts[2] == "HTTP/1.1"
         length = "0"
+        chunked = False
         while True:
             line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
+            name = name.strip().lower()
+            if name == "content-length":
                 length = value.strip()
+            elif name == "connection":
+                tokens = {token.strip().lower() for token in value.split(",")}
+                keep_alive = keep_alive and "close" not in tokens
+            elif name == "transfer-encoding":
+                chunked = True
     except ConnectionError:
         return None
     except asyncio.LimitOverrunError:
@@ -672,6 +700,14 @@ async def _read_request(
         ) from None
     # Headers are read in full first, so the error reply is the next
     # thing the client sees.
+    if chunked:
+        # Its body would stay unread and be parsed as the next request.
+        raise _HttpError(
+            HTTPStatus.NOT_IMPLEMENTED,
+            "transfer-encoding-unsupported",
+            "request bodies must be sent with Content-Length, "
+            "not Transfer-Encoding",
+        )
     if not (length.isascii() and length.isdigit()):
         raise _HttpError(
             HTTPStatus.BAD_REQUEST,
@@ -692,26 +728,65 @@ async def _read_request(
         except asyncio.IncompleteReadError:  # the client hung up mid-body
             return None
     path = urlsplit(target).path
-    return method, path, body
+    return method, path, body, keep_alive
+
+
+async def _linger(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> None:
+    """Before closing after an error reply: end our side, then drop what
+    the client still sends until it closes, for at most
+    :data:`LINGER_S`.  Closing a socket while input still arrives resets
+    the connection, which can destroy the reply before the client reads
+    it (a client that sends a 9 MiB body it was refused reads its 413
+    only after the last byte is sent)."""
+
+    async def discard() -> None:
+        while await reader.read(65536):
+            pass
+
+    with contextlib.suppress(Exception):
+        writer.write_eof()
+        await asyncio.wait_for(discard(), LINGER_S)
+
+
+def _encode(payload: dict) -> bytes:
+    """``payload`` as sorted-key JSON.  A top-level :class:`RawJSON`
+    value is spliced in as its text, so the bytes are those of
+    ``json.dumps(..., sort_keys=True)`` over the parsed value."""
+    if not any(value.__class__ is RawJSON for value in payload.values()):
+        return json.dumps(payload, sort_keys=True).encode()
+    members = ", ".join(
+        f"{json.dumps(key)}: "
+        + (
+            value.text
+            if value.__class__ is RawJSON
+            else json.dumps(value, sort_keys=True)
+        )
+        for key, value in sorted(payload.items())
+    )
+    return f"{{{members}}}".encode()
 
 
 async def _send_json(
-    writer: asyncio.StreamWriter, status: HTTPStatus, payload: dict
+    writer: asyncio.StreamWriter,
+    status: HTTPStatus,
+    payload: dict,
+    keep_alive: bool,
 ) -> None:
-    body = json.dumps(payload, sort_keys=True).encode()
-    writer.write(
+    body = _encode(payload)
+    head = (
         f"HTTP/1.1 {status.value} {status.phrase}\r\n"
         f"Content-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\n"
-        f"Connection: close\r\n"
-        f"\r\n".encode()
-        + body
-    )
+    ).encode()
+    end = b"\r\n" if keep_alive else b"Connection: close\r\n\r\n"
+    writer.write(head + end + body)
     await writer.drain()
 
 
 def _sse_line(event: dict) -> bytes:
-    return b"data: " + json.dumps(event, sort_keys=True).encode() + b"\n\n"
+    return b"data: " + _encode(event) + b"\n\n"
 
 
 def serve(config: ServiceConfig) -> int:

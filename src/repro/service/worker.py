@@ -10,15 +10,20 @@ warehouse *inside the worker* by the normal ``simulate()`` /
 in-flight workers loses nothing: the terminal HTTP event is a receipt
 for a row that already exists.
 
-:func:`result_document` is the one JSON shape for a finished
-simulation, shared by the worker (cold results) and the server's
-warehouse reads (warm results) — which is what makes a cached response
-bit-identical to the cold one it memoized.
+:func:`~repro.results.schema.result_document` (re-exported here) is
+the one JSON shape for a finished simulation.  The worker returns it
+for a cold job, and the warehouse stores its canonical JSON in the row
+the worker commits, which the server splices into warm answers — so a
+cached response is byte-identical to the cold one it memoized.
 """
 
 from __future__ import annotations
 
 import os
+
+from repro.results.schema import result_document
+
+__all__ = ["init_worker", "result_document", "run_job"]
 
 #: The per-process progress pipe, installed by :func:`init_worker`.
 _PROGRESS_QUEUE = None
@@ -39,29 +44,6 @@ def _emit(job_id: str, event: str, **fields: object) -> None:
         # A torn progress pipe (server going down) must never fail the
         # simulation itself — the warehouse commit is what matters.
         pass
-
-
-def result_document(kind: str, spec_hash: str, result: object) -> dict:
-    """A finished simulation as the service's JSON result shape.
-
-    Built from :func:`repro.results.schema.extract_columns`, the same
-    typed-column view the warehouse stores — so a cold worker result
-    and a warm warehouse read of the same spec hash serialize
-    identically.
-    """
-    from repro.results.schema import extract_columns
-
-    columns = extract_columns(result)
-    metrics = columns.pop("metrics")
-    return {
-        "kind": kind,
-        "report": type(result).__name__,
-        "spec_hash": spec_hash,
-        "columns": {
-            name: value for name, value in columns.items() if value is not None
-        },
-        "metrics": metrics,
-    }
 
 
 def run_job(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from repro.errors import ConfigError
-from repro.scenario.schema import SCENARIO_JSON_SCHEMA, validate_document
+from repro.scenario.schema import SCENARIO_JSON_SCHEMA, compile_schema
 from repro.scenario.spec import ScenarioSpec
 
 #: Version stamp of the serialized form; bump on breaking layout change.
@@ -364,7 +364,7 @@ _TENANT_SCHEMA = {
 
 #: Published schema of :meth:`WorkloadSpec.to_dict` documents.  It embeds
 #: :data:`~repro.scenario.schema.SCENARIO_JSON_SCHEMA` verbatim for each
-#: tenant's job, so one interpreter validates both document shapes.
+#: tenant's job, so one compiled validator checks both document shapes.
 WORKLOAD_JSON_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "title": "WorkloadSpec",
@@ -386,6 +386,9 @@ WORKLOAD_JSON_SCHEMA = {
 }
 
 
+_check_workload = compile_schema(WORKLOAD_JSON_SCHEMA)
+
+
 def validate_workload_dict(data: object) -> None:
     """Validate a document against :data:`WORKLOAD_JSON_SCHEMA`.
 
@@ -396,7 +399,7 @@ def validate_workload_dict(data: object) -> None:
         raise ConfigError(
             f"workload: expected a JSON object, got {type(data).__name__}"
         )
-    validate_document(data, WORKLOAD_JSON_SCHEMA, "workload")
+    _check_workload(data, "workload")
 
 
 def parse_workload_document(data: object) -> "WorkloadSpec":

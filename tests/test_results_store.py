@@ -452,3 +452,155 @@ class TestReadonlyMode:
         ro = ResultsWarehouse(path, readonly=True)
         with pytest.raises(ConfigError, match="schema version"):
             ro.load("_eval_scenario_point", "k")
+
+
+#: A warehouse written by the schema-version-1 code: two scenario rows
+#: (``_fixture_specs()``, analytic and multirank), checkpointed into a
+#: lone WAL-mode file, as CI downloads its baseline artifact.
+V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "warehouse_v1.sqlite3")
+
+
+def _fixture_specs():
+    spec = ScenarioSpec(
+        config=PynamicConfig(n_modules=2, n_utilities=1, avg_functions=4),
+        n_tasks=2,
+    )
+    return [spec, spec.with_(engine="multirank", n_tasks=4, cores_per_node=2)]
+
+
+class TestOtherSchemaVersions:
+    def test_v1_baseline_diffs_against_a_v2_warehouse(self, tmp_path, capsys):
+        import shutil
+
+        baseline = tmp_path / "baseline.sqlite3"
+        shutil.copyfile(V1_FIXTURE, baseline)
+        before = baseline.read_bytes()
+        candidate = tmp_path / "candidate"
+        for spec in _fixture_specs():
+            simulate(spec, cache_dir=str(candidate))
+        assert main(
+            ["results", "diff", str(baseline), str(candidate), "--fail-over", "0"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "empty" not in out
+        assert "4 compared metric(s), 0 only in old, 0 only in new" in out
+        assert "2 written by another model" in out
+        # Read-only: the baseline keeps its rows and its version.
+        assert baseline.read_bytes() == before
+        with open_warehouse(baseline) as store:
+            assert store.schema_version == 1
+            old_rows = store.rows()
+        with open_warehouse(candidate) as store:
+            new_rows = store.rows()
+        diff = diff_rows(old_rows, new_rows, ["total_max"])
+        assert diff["fingerprint_mismatches"] == 2
+        assert {entry["spec"] for entry in diff["changed"]} == {
+            spec.spec_hash[:16] for spec in _fixture_specs()
+        }
+        # The deltas are real: a changed baseline value shows up.
+        conn = sqlite3.connect(baseline)
+        conn.execute("UPDATE results SET total_max = total_max * 2")
+        conn.commit()
+        conn.close()
+        with open_warehouse(baseline) as store:
+            diff = diff_rows(store.rows(), new_rows, ["total_max"])
+        assert [entry["pct"] for entry in diff["changed"]] == pytest.approx([-50.0] * 2)
+
+    def test_query_and_export_read_a_v1_warehouse(self, tmp_path, capsys):
+        import shutil
+
+        baseline = tmp_path / "baseline.sqlite3"
+        shutil.copyfile(V1_FIXTURE, baseline)
+        assert main(["results", "query", str(baseline)]) == 0
+        assert "2 stored result(s)" in capsys.readouterr().out
+        out = tmp_path / "export.json"
+        assert main(["results", "export", str(baseline), "--json", str(out)]) == 0
+        document = json.loads(out.read_text())
+        assert document["schema_version"] == 1
+        assert document["row_count"] == 2
+
+    def test_a_v1_warehouse_serves_no_cached_results_read_only(self, tmp_path):
+        import shutil
+
+        baseline = tmp_path / "baseline.sqlite3"
+        shutil.copyfile(V1_FIXTURE, baseline)
+        spec = _fixture_specs()[0]
+        with open_warehouse(baseline) as store:
+            with pytest.raises(ConfigError, match="schema version 1"):
+                store.load("_eval_scenario_point", spec.spec_hash)
+
+
+class TestModelFingerprint:
+    def test_rows_and_meta_record_the_fingerprint(self, tmp_path, tiny_spec):
+        from repro.results import model_fingerprint
+
+        simulate(tiny_spec, cache_dir=str(tmp_path))
+        with ResultsWarehouse(tmp_path) as store:
+            (row,) = store.rows()
+            meta = store._connect().execute(
+                "SELECT value FROM meta WHERE key = 'model_fingerprint'"
+            ).fetchone()
+        assert row["model_fingerprint"] == model_fingerprint()
+        assert meta[0] == model_fingerprint()
+        assert len(model_fingerprint()) == 64
+
+    def test_a_stale_fingerprint_row_is_resimulated(self, tmp_path, tiny_spec):
+        first = SweepRunner(workers=1, cache_dir=tmp_path)
+        (report,) = sweep_scenarios([tiny_spec], runner=first)
+        first.warehouse.close()
+        conn = sqlite3.connect(resolve_warehouse_path(tmp_path))
+        conn.execute(
+            "UPDATE results SET model_fingerprint = 'older-model',"
+            " total_max = -1.0"
+        )
+        conn.commit()
+        conn.close()
+        with ResultsWarehouse(tmp_path, readonly=True) as ro:
+            assert ro.load("_eval_scenario_point", tiny_spec.spec_hash) is None
+            assert ro.load_by_result_key(tiny_spec.spec_hash) is None
+            assert ro.load_document("_eval_scenario_point", tiny_spec.spec_hash) is None
+            assert ro.load_document_by_result_key(tiny_spec.spec_hash) is None
+        again = SweepRunner(workers=1, cache_dir=tmp_path)
+        (replayed,) = sweep_scenarios([tiny_spec], runner=again)
+        # A miss, not corruption: re-simulated, and the row rewritten.
+        assert (again.hits, again.misses, again.corrupt) == (0, 1, 0)
+        assert replayed == report
+        (row,) = again.warehouse.rows()
+        from repro.results import model_fingerprint
+
+        assert row["model_fingerprint"] == model_fingerprint()
+        assert row["total_max"] == pytest.approx(report.total_max)
+        again.warehouse.close()
+
+    def test_diff_counts_mismatches_but_never_fails_on_them(self):
+        old = [{"cache_key": "k", "total_max": 1.0, "model_fingerprint": "a"}]
+        new = [{"cache_key": "k", "total_max": 1.0, "model_fingerprint": "b"}]
+        diff = diff_rows(old, new, ["total_max"])
+        assert diff["fingerprint_mismatches"] == 1
+        assert diff["max_regression_pct"] == 0.0
+        assert diff_rows(old, old, ["total_max"])["fingerprint_mismatches"] == 0
+
+
+class TestStoredDocument:
+    def test_scenario_rows_store_the_canonical_result_document(
+        self, tmp_path, tiny_spec, tiny_report
+    ):
+        from repro.results.schema import result_document
+
+        with ResultsWarehouse(tmp_path) as store:
+            store.store("_eval_scenario_point", tiny_spec.spec_hash, tiny_report)
+            store.store("eval_staging_point", tiny_spec.spec_hash, tiny_report)
+            text = store.load_document("_eval_scenario_point", tiny_spec.spec_hash)
+            assert store.load_document("eval_staging_point", tiny_spec.spec_hash) is None
+            entry = store.load_document_by_result_key(tiny_spec.spec_hash)
+            assert "document" not in store.rows()[0]
+        expected = result_document("scenario", tiny_spec.spec_hash, tiny_report)
+        assert text == json.dumps(expected, sort_keys=True)
+        assert entry["document"] == text
+        assert entry["func"] == "_eval_scenario_point"
+
+    def test_the_service_worker_reexports_result_document(self):
+        from repro.results.schema import result_document
+        from repro.service.worker import result_document as reexported
+
+        assert reexported is result_document

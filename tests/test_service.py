@@ -19,7 +19,13 @@ the CLI runs) and talks to it over real HTTP with the stdlib
 - warm reads share one long-lived read-only handle that sees rows
   committed after it opened, follows a rebuilt warehouse file and is
   closed by ``stop()``;
-- the registry keeps a bounded number of finished jobs.
+- the registry keeps a bounded number of finished jobs;
+- warm answers splice the row's stored document: the warm POST, the
+  warm GET and the cold job's result are the same bytes;
+- connections are kept alive, and closed on ``Connection: close``,
+  HTTP/1.0, an error that leaves input unread (413, 431, 501 for
+  ``Transfer-Encoding``) and SIGTERM; the client reconnects after an
+  idle close and never resends a request whose answer had begun.
 """
 
 import asyncio
@@ -60,7 +66,9 @@ def service(tmp_path):
     config = ServiceConfig(port=0, workers=2, cache_dir=str(tmp_path))
     with running_server(config) as server:
         host, port = server.address
-        yield server, ServiceClient(host, port)
+        client = ServiceClient(host, port)
+        yield server, client
+        client.close()
 
 
 class TestEndToEnd:
@@ -413,7 +421,8 @@ class TestWarehouseReader:
         server, client = service
         spec = _tiny_spec(seed=41)
         simulate(spec, cache_dir=server.config.cache_dir)
-        load = ResultsWarehouse.load
+        # The warm POST reads the row's stored document.
+        load = ResultsWarehouse.load_document
         failed = []
 
         def load_failing_once(self, func_name, key):
@@ -422,7 +431,7 @@ class TestWarehouseReader:
                 raise sqlite3.DatabaseError("database disk image is malformed")
             return load(self, func_name, key)
 
-        monkeypatch.setattr(ResultsWarehouse, "load", load_failing_once)
+        monkeypatch.setattr(ResultsWarehouse, "load_document", load_failing_once)
         assert client.submit(spec)["cached"] is True
         assert failed and server._reader._warehouse is not failed[0]
 
@@ -430,7 +439,7 @@ class TestWarehouseReader:
             failed.append(self)
             raise sqlite3.DatabaseError("database disk image is malformed")
 
-        monkeypatch.setattr(ResultsWarehouse, "load", load_failing)
+        monkeypatch.setattr(ResultsWarehouse, "load_document", load_failing)
         with pytest.raises(ServiceError) as excinfo:
             client.submit(spec)
         assert excinfo.value.status == 500
@@ -534,3 +543,319 @@ class TestFinishOrdering:
             "queued", "phase", "phase", "done",
         ]
         assert job.result == {"report": 1}
+
+
+def _read_reply(stream) -> "tuple[int, dict, bytes]":
+    """One HTTP response from a socket file: (status, headers, body)."""
+    status = int(stream.readline().split()[1])
+    headers = {}
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, stream.read(int(headers.get("content-length", 0)))
+
+
+def _raw_member(body: bytes, name: str) -> bytes:
+    """The exact bytes of one top-level member's value in a JSON object."""
+    text = body.decode()
+    decoder = json.JSONDecoder()
+    index = 1
+    while True:
+        index = len(text) - len(text[index:].lstrip(" ,"))
+        key, index = decoder.raw_decode(text, index)
+        index = text.index(":", index) + 1
+        index = len(text) - len(text[index:].lstrip())
+        _value, end = decoder.raw_decode(text, index)
+        if key == name:
+            return body[index:end]
+        index = end
+
+
+def _http_body(client, method: str, path: str, body: "bytes | None" = None) -> bytes:
+    import http.client
+
+    conn = http.client.HTTPConnection(client.host, client.port, timeout=60)
+    try:
+        conn.request(method, path, body=body)
+        response = conn.getresponse()
+        assert response.status < 300
+        return response.read()
+    finally:
+        conn.close()
+
+
+class TestWarmAnswersFromTheRow:
+    @pytest.mark.parametrize("kind", ["scenario", "multirank", "workload"])
+    def test_warm_post_warm_get_and_cold_result_are_the_same_bytes(
+        self, service, kind
+    ):
+        server, client = service
+        spec = _tiny_spec(seed=880)
+        if kind == "multirank":
+            spec = spec.with_(engine="multirank", n_tasks=4, cores_per_node=2)
+        if kind == "workload":
+            spec = WorkloadSpec(
+                n_nodes=2,
+                tenants=(
+                    TenantSpec(
+                        name="t0",
+                        scenario=spec.with_(engine="multirank"),
+                        n_jobs=1,
+                    ),
+                ),
+            )
+        document = json.dumps(spec.to_dict()).encode()
+        submitted = json.loads(_http_body(client, "POST", "/v1/jobs", document))
+        assert submitted["cached"] is False
+        assert client.wait(submitted["job_id"])["status"] == "done"
+        cold = _raw_member(
+            _http_body(client, "GET", f"/v1/jobs/{submitted['job_id']}"), "result"
+        )
+        warm_post = _http_body(client, "POST", "/v1/jobs", document)
+        assert json.loads(warm_post)["cached"] is True
+        spec_hash = submitted["spec_hash"]
+        warm_get = _http_body(client, "GET", f"/v1/results/{spec_hash}")
+        assert _raw_member(warm_post, "result") == cold
+        assert _raw_member(warm_get, "result") == cold
+        assert json.loads(cold)["kind"] == ("workload" if kind == "workload" else "scenario")
+
+    def test_a_row_without_a_document_is_not_served(self, service):
+        """Only scenario and workload rows store an answer; another
+        function's row under the same hash is never spliced in."""
+        server, client = service
+        spec = _tiny_spec(seed=881)
+        with ResultsWarehouse.for_cache_dir(server.config.cache_dir) as warehouse:
+            warehouse.store("eval_staging_point", spec.spec_hash, {"staged": 1})
+        with pytest.raises(ServiceError) as excinfo:
+            client.result(spec.spec_hash)
+        assert excinfo.value.status == 404
+
+
+class TestKeepAlive:
+    def test_two_requests_share_one_socket(self, service):
+        server, client = service
+        spec = _tiny_spec(seed=901)
+        simulate(spec, cache_dir=server.config.cache_dir)
+        body = json.dumps(spec.to_dict()).encode()
+        with socket.create_connection((client.host, client.port), timeout=30) as sock:
+            stream = sock.makefile("rb")
+            sock.sendall(
+                b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                + body
+            )
+            status, headers, first = _read_reply(stream)
+            assert status == 200 and "connection" not in headers
+            sock.sendall(
+                f"GET /v1/results/{spec.spec_hash} HTTP/1.1\r\nHost: x\r\n\r\n".encode()
+            )
+            status, headers, second = _read_reply(stream)
+            assert status == 200
+        assert json.loads(first)["cached"] is True
+        assert json.loads(second)["result"] == json.loads(first)["result"]
+
+    @pytest.mark.parametrize(
+        "request_head",
+        [
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+        ],
+        ids=["connection-close", "http-1.0"],
+    )
+    def test_the_server_closes_when_asked(self, service, request_head):
+        server, client = service
+        with socket.create_connection((client.host, client.port), timeout=30) as sock:
+            stream = sock.makefile("rb")
+            sock.sendall(request_head)
+            status, headers, body = _read_reply(stream)
+            assert status == 200 and json.loads(body)["status"] == "ok"
+            assert headers["connection"] == "close"
+            assert stream.read() == b""  # closed by the server
+
+    @pytest.mark.parametrize(
+        "head,status",
+        [
+            (b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 9437184\r\n\r\n", 413),
+            (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+        ],
+        ids=["413", "431"],
+    )
+    def test_an_error_that_leaves_input_unread_closes(self, service, head, status):
+        server, client = service
+        with socket.create_connection((client.host, client.port), timeout=30) as sock:
+            stream = sock.makefile("rb")
+            sock.sendall(head)
+            got, headers, _body = _read_reply(stream)
+            assert got == status and headers["connection"] == "close"
+            assert stream.read() == b""
+
+    def test_a_refused_body_still_gets_its_413(self, service):
+        """http.client sends the whole body before it reads the reply:
+        the server drops the body instead of resetting the connection
+        under the reply."""
+        import http.client
+
+        server, client = service
+        conn = http.client.HTTPConnection(client.host, client.port, timeout=30)
+        try:
+            conn.request("POST", "/v1/jobs", body=b"x" * (9 * 1024 * 1024))
+            response = conn.getresponse()
+            assert response.status == 413
+            assert json.loads(response.read())["error"] == "body-too-large"
+        finally:
+            conn.close()
+
+    def test_a_handled_error_keeps_the_connection(self, service):
+        server, client = service
+        with socket.create_connection((client.host, client.port), timeout=30) as sock:
+            stream = sock.makefile("rb")
+            sock.sendall(b"GET /v2/nothing HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert _read_reply(stream)[0] == 404
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert _read_reply(stream)[0] == 200
+
+    def test_transfer_encoding_is_501_and_its_body_is_never_a_request(
+        self, service
+    ):
+        server, client = service
+        # A chunked body that would read as a request if left unread.
+        smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        chunk = f"{len(smuggled):x}\r\n".encode() + smuggled + b"\r\n0\r\n\r\n"
+        with socket.create_connection((client.host, client.port), timeout=30) as sock:
+            stream = sock.makefile("rb")
+            sock.sendall(
+                b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n" + chunk
+            )
+            status, headers, body = _read_reply(stream)
+            assert status == 501 and headers["connection"] == "close"
+            assert json.loads(body)["error"] == "transfer-encoding-unsupported"
+            assert stream.read() == b""  # one reply, then the close
+        assert client.healthz()["status"] == "ok"
+
+    def test_one_client_shared_by_two_threads(self, service):
+        server, client = service
+        specs = [_tiny_spec(seed=910 + i) for i in range(2)]
+        for spec in specs:
+            simulate(spec, cache_dir=server.config.cache_dir)
+        connections, errors = [], []
+
+        def lane(spec):
+            try:
+                for _ in range(20):
+                    answer = client.submit(spec)
+                    assert answer["cached"] is True
+                    assert answer["result"]["spec_hash"] == spec.spec_hash
+                    assert client.result(spec.spec_hash)["result"] == answer["result"]
+                connections.append(client._local.conn)
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+            finally:
+                client.close()
+
+        lanes = [threading.Thread(target=lane, args=(spec,)) for spec in specs]
+        for thread in lanes:
+            thread.start()
+        for thread in lanes:
+            thread.join()
+        assert not errors
+        assert len({id(conn) for conn in connections}) == 2
+        assert client.metrics()["jobs_cached"] == 40
+
+    def test_the_client_reconnects_after_an_idle_close(self, tmp_path, monkeypatch):
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(server_module, "KEEPALIVE_IDLE_S", 0.2)
+        config = ServiceConfig(port=0, workers=1, cache_dir=str(tmp_path))
+        with running_server(config) as server:
+            client = ServiceClient(*server.address)
+            first = client.submit(_tiny_spec(seed=920))
+            assert first["cached"] is False
+            client.wait(first["job_id"])
+            stale = client._local.conn
+            import time
+
+            time.sleep(0.6)  # the server closes the idle connection
+            second = client.submit(_tiny_spec(seed=921))
+            assert second["cached"] is False
+            assert client._local.conn is not stale
+            client.wait(second["job_id"])
+            # Each POST reached the server once: no answered request resent.
+            metrics = client.metrics()
+            assert metrics["jobs_submitted"] == 2
+            assert metrics["jobs_deduplicated"] == 0
+            client.close()
+
+    def test_a_request_whose_answer_began_is_never_resent(self):
+        """A reused connection that breaks after response bytes arrived
+        raises instead of sending the request again."""
+        import http.client
+
+        listener = socket.create_server(("127.0.0.1", 0))
+        received = []
+
+        def fake_server():
+            conn, _ = listener.accept()
+            with conn:
+                stream = conn.makefile("rb")
+                for reply in (
+                    b'HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}',
+                    b"HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n{",
+                ):
+                    line = stream.readline()
+                    while stream.readline() not in (b"\r\n", b""):
+                        pass
+                    received.append(line)
+                    conn.sendall(reply)
+            listener.settimeout(1.0)
+            with contextlib.suppress(OSError):
+                extra, _ = listener.accept()  # a resend would connect here
+                received.append(extra.recv(1024))
+                extra.close()
+
+        thread = threading.Thread(target=fake_server)
+        thread.start()
+        client = ServiceClient(*listener.getsockname()[:2], timeout=5)
+        try:
+            assert client.healthz() == {}
+            with pytest.raises(http.client.IncompleteRead):
+                client.healthz()
+        finally:
+            client.close()
+            thread.join()
+            listener.close()
+        assert len(received) == 2
+
+
+class TestShutdownWithKeptAliveConnections:
+    def test_sigterm_with_an_idle_connection_exits_within_two_seconds(
+        self, tmp_path
+    ):
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.harness.cli", "serve", "--port", "0",
+             "--workers", "1", "--cache-dir", str(tmp_path)],
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            line = proc.stdout.readline()
+            host, port = line.rsplit("//", 1)[1].strip().rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=30) as sock:
+                stream = sock.makefile("rb")
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                assert _read_reply(stream)[0] == 200
+                begin = time.perf_counter()
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=10) == 0
+                assert time.perf_counter() - begin < 2.0
+                assert stream.read() == b""  # the idle connection was closed
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
