@@ -18,6 +18,7 @@ phases exactly as the paper's instrumented driver does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Generator
 
 from repro.cache.hierarchy import MissCounts
 from repro.core.builds import BuildImage
@@ -27,6 +28,7 @@ from repro.elf.sections import SectionKind
 from repro.errors import DriverError
 from repro.linker.dynamic import DynamicLinker
 from repro.machine.context import ExecutionContext
+from repro.machine.scheduler import SteppedProgram, drain
 from repro.machine.node import Process
 from repro.perf.papi import PapiCounters
 from repro.perf.timers import PhaseTimer
@@ -54,8 +56,13 @@ class DriverReport:
         return self.startup_s + self.import_s + self.visit_s
 
 
-class PynamicDriver:
-    """Imports every generated module and visits every function."""
+class PynamicDriver(SteppedProgram):
+    """Imports every generated module and visits every function.
+
+    :meth:`steps` runs the import and visit phases one module at a
+    time; :meth:`run` drains them and adds the MPI test.  Both job
+    engines drive the same steps (see :func:`repro.core.runner.rank_steps`).
+    """
 
     def __init__(
         self,
@@ -74,6 +81,10 @@ class PynamicDriver:
         self.mpi_session = mpi_session
         self._handles: dict[str, LoadedObject] = {}
         self._functions_visited = 0
+        self._startup_s = 0.0
+        self._timer: PhaseTimer | None = None
+        self._fixups_before = 0
+        self._eager_before = 0
         size_model = getattr(build.spec.config, "size_model", None)
         self._bytes_per_instruction = (
             size_model.text_bytes_per_instruction if size_model else 3.5
@@ -82,46 +93,90 @@ class PynamicDriver:
     # ------------------------------------------------------------------
     def run(self) -> DriverReport:
         """Execute the full driver: import all, visit all, MPI test."""
+        drain(self.steps())
+        return self.finish()
+
+    def steps(
+        self, on_mark: "Callable[[str], None] | None" = None
+    ) -> Generator[None, None, None]:
+        """Import then visit every module, yielding after each one.
+
+        ``on_mark`` (when set) hears each phase mark — ``"startup"``,
+        then ``"+import"``/``"-import"`` and ``"+visit"``/``"-visit"`` —
+        at the clock reading the phase timer takes, so a rank trace can
+        replay the timer on another rank's clock.
+        """
         ctx = self.ctx
         if self.process.link_map is None:
             raise DriverError("program was not started before running the driver")
         # Startup: "the time between program invocation and the first
         # line of code", measured the way the paper does (timestamp at
         # invocation compared against the driver's first line).
-        startup_s = ctx.seconds - self.process.invoked_at
-        timer = PhaseTimer(ctx.node.clock)
-        fixups_before = self.linker.lazy_fixups
-        eager_before = self.linker.eager_plt_resolutions
-
-        with timer.phase("import"), self.papi.phase("import"):
+        self._startup_s = ctx.seconds - self.process.invoked_at
+        self._timer = timer = PhaseTimer(ctx.node.clock)
+        self._fixups_before = self.linker.lazy_fixups
+        self._eager_before = self.linker.eager_plt_resolutions
+        if on_mark is not None:
+            on_mark("startup")
+        for phase, run in (
+            ("import", self._import_module),
+            ("visit", self._visit_module),
+        ):
+            timer.start(phase)
+            self.papi.start(phase)
+            if on_mark is not None:
+                on_mark("+" + phase)
             for module in self.build.spec.modules:
-                self._import_module(module)
+                run(module)
+                yield
+            self.papi.stop(phase)
+            timer.stop(phase)
+            if on_mark is not None:
+                on_mark("-" + phase)
 
-        with timer.phase("visit"), self.papi.phase("visit"):
-            for module in self.build.spec.modules:
-                self._visit_module(module)
+    def finish(self) -> DriverReport:
+        """The MPI self-test (with a session), then :meth:`report`.
 
+        The multi-rank engine instead synchronizes all ranks, runs the
+        collective once and hands each rank its wait to :meth:`report`.
+        """
         mpi_s = 0.0
         if self.mpi_session is not None:
+            timer = self._started()
             with timer.phase("mpi"):
-                self.mpi_session.run_selftest(ctx)
+                self.mpi_session.run_selftest(self.ctx)
             mpi_s = timer.get("mpi")
+        return self.report(mpi_s)
 
-        return DriverReport(
-            mode=self.build.mode.value,
-            startup_s=startup_s,
-            import_s=timer.get("import"),
-            visit_s=timer.get("visit"),
-            mpi_s=mpi_s,
+    def outputs(self) -> dict:
+        """The report fields that do not depend on the rank's clock."""
+        return dict(
             counters=dict(self.papi.phases),
             modules_imported=len(self._handles),
             functions_visited=self._functions_visited,
-            lazy_fixups=self.linker.lazy_fixups - fixups_before,
+            lazy_fixups=self.linker.lazy_fixups - self._fixups_before,
             eager_plt_resolutions=(
-                self.linker.eager_plt_resolutions - eager_before
+                self.linker.eager_plt_resolutions - self._eager_before
             ),
-            major_fault_bytes=ctx.major_fault_bytes,
+            major_fault_bytes=self.ctx.major_fault_bytes,
         )
+
+    def report(self, mpi_s: float) -> DriverReport:
+        """The :class:`DriverReport` once :meth:`steps` has run."""
+        timer = self._started()
+        return DriverReport(
+            mode=self.build.mode.value,
+            startup_s=self._startup_s,
+            import_s=timer.get("import"),
+            visit_s=timer.get("visit"),
+            mpi_s=mpi_s,
+            **self.outputs(),
+        )
+
+    def _started(self) -> PhaseTimer:
+        if self._timer is None:
+            raise DriverError("driver never ran its steps")
+        return self._timer
 
     # ------------------------------------------------------------------
     # import phase

@@ -30,12 +30,12 @@ live.  Reports are bit-identical to running every rank live.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from functools import partial
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Generator, Sequence
+from typing import TYPE_CHECKING, Generator, Sequence
 
-from repro.core.builds import BuildImage, BuildMode, build_benchmark
-from repro.core.driver import DriverReport, PynamicDriver
+from repro.core.builds import BuildImage, build_benchmark
+from repro.core.driver import PynamicDriver
 from repro.core.generator import generate
 from repro.core.job import JobReport
 from repro.core.ranktrace import (
@@ -45,26 +45,19 @@ from repro.core.ranktrace import (
     trace_key,
     traced,
 )
+from repro.core.runner import rank_steps
 from repro.core.specs import BenchmarkSpec
 from repro.dist.overlay import DistributionOverlay, StagingPlan
-from repro.errors import ConfigError, DriverError
+from repro.errors import ConfigError
 from repro.faults.metrics import DegradationStats
 from repro.fs.files import BackingFileSystem
-from repro.linker.dynamic import DynamicLinker
 from repro.machine.cluster import Cluster, ClusterSlice
-from repro.machine.context import ClockContext, ExecutionContext
-from repro.machine.costs import CostModel
+from repro.machine.context import ClockContext
 from repro.machine.node import Node, TimedReadNode
 from repro.machine.osprofile import OsProfile
-from repro.machine.scheduler import (
-    EngineStats,
-    EventScheduler,
-    RankTask,
-    SteppedProgram,
-)
+from repro.machine.scheduler import EngineStats, EventScheduler, RankTask
 from repro.mpi.api import MpiSession
 from repro.mpi.network import NetworkModel
-from repro.perf.timers import PhaseTimer
 from repro.rng import SeededRng
 
 if TYPE_CHECKING:
@@ -83,168 +76,6 @@ def warm_node_selection(
         return []
     count = min(n_nodes, max(1, round(fraction * n_nodes)))
     return sorted(rng.fork("warm-mix").sample(range(n_nodes), count))
-
-
-@dataclass(frozen=True)
-class JobScenario:
-    """The heterogeneity knobs of a job, in the form the engines read.
-
-    Built only by :meth:`repro.scenario.spec.ScenarioSpec.job_scenario`,
-    which has validated every value.  The default instance is perfectly
-    homogeneous: every rank is identical, so a warm job shows exactly
-    zero inter-rank skew.
-    """
-
-    #: Node indices whose cores run slower (thermal throttling, a bad
-    #: DIMM, a noisy neighbour daemon).
-    straggler_nodes: tuple[int, ...] = ()
-    #: Clock-speed divisor applied to straggler nodes (2.0 = half speed).
-    straggler_slowdown: float = 1.5
-    #: Upper bound of the per-rank OS-noise launch jitter in seconds;
-    #: each rank draws uniformly (and deterministically, from the
-    #: benchmark seed) in ``[0, os_jitter_s]``.
-    os_jitter_s: float = 0.0
-    #: Fraction of nodes whose disk buffer caches start warm — the
-    #: cold/warm mix of a partially reused batch allocation.
-    warm_node_fraction: float = 0.0
-    #: Explicit node indices whose caches start warm, merged with the
-    #: fraction-drawn set.  With a distribution overlay these nodes act
-    #: as cache-aware secondary sources: their relay daemons serve their
-    #: subtrees from the local cache instead of waiting on the root
-    #: pass, so warming a well-placed interior node speeds up its whole
-    #: subtree.
-    warm_nodes: tuple[int, ...] = ()
-    #: Per-node OS profiles (node index -> profile); unlisted nodes use
-    #: the job's default profile.
-    node_os_profiles: "dict[int, OsProfile] | None" = None
-
-    @property
-    def is_homogeneous(self) -> bool:
-        """True when no knob introduces per-rank differences."""
-        return (
-            not self.straggler_nodes
-            and self.os_jitter_s == 0.0
-            and self.warm_node_fraction == 0.0
-            and not self.warm_nodes
-            and not self.node_os_profiles
-        )
-
-    # -- shared per-node interpretation (job engine + multirank debugger) --
-    def validate_node_indices(self, n_nodes: int) -> None:
-        """Reject per-node knobs naming nodes outside an ``n_nodes``
-        cluster (the debugger runs a spec's knobs on a cluster of its
-        own, which may be smaller than the spec's job)."""
-        for index in self.straggler_nodes:
-            if not 0 <= index < n_nodes:
-                raise ConfigError(
-                    f"straggler node {index} outside the {n_nodes}-node job"
-                )
-        for index in self.warm_nodes:
-            if not 0 <= index < n_nodes:
-                raise ConfigError(
-                    f"warm node {index} outside the {n_nodes}-node job"
-                )
-        if self.node_os_profiles:
-            for index in self.node_os_profiles:
-                if not 0 <= index < n_nodes:
-                    raise ConfigError(
-                        f"OS profile for node {index} outside the "
-                        f"{n_nodes}-node job"
-                    )
-
-    def node_costs(self, index: int, base: "CostModel") -> "CostModel":
-        """``base`` with the straggler slowdown applied if node ``index``
-        is throttled."""
-        if index not in self.straggler_nodes:
-            return base
-        return replace(
-            base,
-            frequency_hz=max(
-                1, int(base.frequency_hz / self.straggler_slowdown)
-            ),
-        )
-
-    def node_profile(self, index: int, default: OsProfile) -> OsProfile:
-        """The OS profile for node ``index`` (``default`` if unlisted)."""
-        if self.node_os_profiles:
-            return self.node_os_profiles.get(index, default)
-        return default
-
-
-class _SteppedDriver(PynamicDriver, SteppedProgram):
-    """A :class:`PynamicDriver` resumable one module at a time.
-
-    The MPI test is *not* run here — the engine synchronizes all ranks
-    and runs the collective once, charging each rank its barrier wait.
-    ``on_mark`` (when set) hears each phase mark — ``"startup"``, then
-    ``"+import"``/``"-import"`` and ``"+visit"``/``"-visit"`` — at the
-    clock reading the phase timer takes, so a rank trace can replay the
-    timer on another rank's clock.
-    """
-
-    def __init__(
-        self, on_mark: "Callable[[str], None] | None" = None, **kwargs: object
-    ) -> None:
-        super().__init__(**kwargs)  # type: ignore[arg-type]
-        self._on_mark = on_mark
-        self._startup_s = 0.0
-        self._timer: PhaseTimer | None = None
-        self._fixups_before = 0
-        self._eager_before = 0
-
-    def steps(self) -> Generator[None, None, None]:
-        """Import then visit every module, yielding after each one."""
-        ctx = self.ctx
-        if self.process.link_map is None:
-            raise DriverError("program was not started before running the driver")
-        self._startup_s = ctx.seconds - self.process.invoked_at
-        self._timer = timer = PhaseTimer(ctx.node.clock)
-        self._fixups_before = self.linker.lazy_fixups
-        self._eager_before = self.linker.eager_plt_resolutions
-        mark = self._on_mark
-        if mark is not None:
-            mark("startup")
-        for phase, run in (
-            ("import", self._import_module),
-            ("visit", self._visit_module),
-        ):
-            timer.start(phase)
-            self.papi.start(phase)
-            if mark is not None:
-                mark("+" + phase)
-            for module in self.build.spec.modules:
-                run(module)
-                yield
-            self.papi.stop(phase)
-            timer.stop(phase)
-            if mark is not None:
-                mark("-" + phase)
-
-    def outputs(self) -> dict:
-        """The rank's report fields that do not depend on its clock."""
-        return dict(
-            counters=dict(self.papi.phases),
-            modules_imported=len(self._handles),
-            functions_visited=self._functions_visited,
-            lazy_fixups=self.linker.lazy_fixups - self._fixups_before,
-            eager_plt_resolutions=(
-                self.linker.eager_plt_resolutions - self._eager_before
-            ),
-            major_fault_bytes=self.ctx.major_fault_bytes,
-        )
-
-    def final_report(self, mpi_s: float) -> DriverReport:
-        """The rank's :class:`DriverReport` once all steps have run."""
-        if self._timer is None:
-            raise DriverError("rank driver never ran its steps")
-        return DriverReport(
-            mode=self.build.mode.value,
-            startup_s=self._startup_s,
-            import_s=self._timer.get("import"),
-            visit_s=self._timer.get("visit"),
-            mpi_s=mpi_s,
-            **self.outputs(),
-        )
 
 
 class RankPlan(Enum):
@@ -326,17 +157,10 @@ class MultiRankJob:
         self.benchmark = (
             benchmark if benchmark is not None else generate(spec.config)
         )
-        self.mode = spec.mode
         self.n_tasks = spec.n_tasks
         self.cores_per_node = spec.cores_per_node
         self.n_nodes = spec.n_nodes
-        self.warm_file_cache = spec.warm_file_cache
         self.os_profile = spec.os_profile_instance()
-        self.scenario = spec.job_scenario()
-        self.hash_style = spec.hash_style
-        self.prelink = spec.prelink
-        self.distribution = spec.distribution
-        self.faults = spec.faults
         self.batch_homogeneous = batch_homogeneous
         #: How the last :meth:`launch` collapsed the job's ranks (None
         #: before the first launch).
@@ -350,7 +174,7 @@ class MultiRankJob:
         self.n_rebuilt = 0
         #: The overlay's staging plan (when a distribution ran).
         self.staging_plan: StagingPlan | None = None
-        self._drivers: dict[int, _SteppedDriver | Follower] = {}
+        self._drivers: dict[int, PynamicDriver | Follower] = {}
 
     # ------------------------------------------------------------------
     def _node_ranks(self, node_index: int) -> range:
@@ -392,14 +216,13 @@ class MultiRankJob:
         Each collapsed group is simulated once and carries its size as
         the task's multiplicity.
         """
-        scenario = self.scenario
-        homogeneous = self.batch_homogeneous and scenario.is_homogeneous
-        if homogeneous and self.warm_file_cache and self.n_tasks > 1:
+        homogeneous = self.batch_homogeneous and self.spec.is_homogeneous
+        if homogeneous and self.spec.warm_file_cache and self.n_tasks > 1:
             # Warm fast path: all reads hit the node caches, ranks are
             # fully decoupled and identical — one representative total.
             self.rank_plan = RankPlan.ONE_RANK
             return [0], {rank: 0 for rank in range(self.n_tasks)}
-        if self.batch_homogeneous and scenario.os_jitter_s == 0.0:
+        if self.batch_homogeneous and self.spec.os_jitter_s == 0.0:
             # Per-node lockstep coalescing.  On a warm node every rank
             # hits the cache — one representative; on a cold node the
             # first toucher faults the DLL set in from shared storage
@@ -407,7 +230,7 @@ class MultiRankJob:
             # simulate the toucher plus one cache-hit representative.
             warm = (
                 set(range(self.n_nodes))
-                if self.warm_file_cache
+                if self.spec.warm_file_cache
                 else set(warm_nodes or ())
             )
             simulated: list[int] = []
@@ -427,7 +250,7 @@ class MultiRankJob:
                         representative[rank] = hitter
             if len(simulated) == self.n_tasks:
                 self.rank_plan = RankPlan.EVERY_RANK
-            elif homogeneous and not self.warm_file_cache:
+            elif homogeneous and not self.spec.warm_file_cache:
                 self.rank_plan = RankPlan.COLD_BATCH
             else:
                 self.rank_plan = RankPlan.PER_NODE
@@ -439,7 +262,10 @@ class MultiRankJob:
     def build_on(self, filesystem: BackingFileSystem) -> BuildImage:
         """This job's benchmark built and published on ``filesystem``."""
         return build_benchmark(
-            self.benchmark, filesystem, self.mode, hash_style=self.hash_style
+            self.benchmark,
+            filesystem,
+            self.spec.mode,
+            hash_style=self.spec.hash_style,
         )
 
     def _stage_distribution(
@@ -447,18 +273,18 @@ class MultiRankJob:
         start_s: float = 0.0,
     ) -> StagingPlan | None:
         """Run the library-distribution overlay for a cold job."""
-        if self.distribution is None or self.warm_file_cache:
+        if self.spec.distribution is None or self.spec.warm_file_cache:
             # With warm caches every node already holds the set; staging
             # would be pure overhead, so the overlay is a no-op and the
             # job is byte-identical to a plain NFS-direct warm run.
             return None
         overlay = DistributionOverlay(
-            self.distribution,
+            self.spec.distribution,
             cluster,
             network=NetworkModel(),
-            straggler_nodes=self.scenario.straggler_nodes,
-            straggler_slowdown=self.scenario.straggler_slowdown,
-            faults=self.faults,
+            straggler_nodes=self.spec.straggler_nodes,
+            straggler_slowdown=self.spec.straggler_slowdown,
+            faults=self.spec.faults,
         )
         return overlay.stage(list(build.images.values()), start_s=start_s)
 
@@ -511,14 +337,14 @@ class MultiRankJob:
         else:
             view = cluster
         view.validate_job_size(self.n_tasks)
-        if self.faults is not None and self.faults.brownouts:
+        if self.spec.faults is not None and self.spec.faults.brownouts:
             # Degraded-capacity windows cover staging *and* the ranks'
             # demand reads; identical windows declared by co-tenant jobs
             # on the shared filesystems are idempotent.
             for fs, target in ((view.nfs, "nfs"), (view.pfs, "pfs")):
                 windows = [
                     window
-                    for window in self.faults.brownouts
+                    for window in self.spec.faults.brownouts
                     if window.target == target
                 ]
                 if windows:
@@ -544,24 +370,22 @@ class MultiRankJob:
         multiplicity = {rank: 0 for rank in simulated}
         for rep in representative.values():
             multiplicity[rep] += 1
-        # Only the representative's node needs its cache warmed on the
-        # warm fast path, keeping it O(1) in the node count too.
-        self._warm_caches(
-            view, build, rng,
-            node_indices=(
-                [0] if self.rank_plan is RankPlan.ONE_RANK else warm_nodes
-            ),
-        )
+        # Model prior activity leaving the DLLs in some nodes' disk
+        # caches.  Only the representative's node needs it on the warm
+        # fast path, keeping it O(1) in the node count too.
+        for index in [0] if self.rank_plan is RankPlan.ONE_RANK else warm_nodes:
+            for image in build.images.values():
+                view.nodes[index].buffer_cache.read(image)
         plan = self._stage_distribution(view, build, start_s=start_s)
         self.staging_plan = plan
         warm = set(warm_nodes)
         rank_setup = {}
         for rank in simulated:
             node_index = rank // self.cores_per_node
-            costs = self.scenario.node_costs(
+            costs = self.spec.node_costs(
                 node_index, view.nodes[node_index].costs
             )
-            profile = self.scenario.node_profile(node_index, self.os_profile)
+            profile = self.spec.node_profile(node_index, self.os_profile)
             router = plan.router_for(node_index) if plan is not None else None
             key = trace_key(
                 costs, profile, router is not None, node_index in warm
@@ -575,33 +399,35 @@ class MultiRankJob:
             home = view.nodes[node_index]
             name = f"{home.name}:rank{rank}"
             trace = traces.get(key) if key is not None else None
-            if key is None or (trace is None and sharers[key] < 2):
-                rank_node: TimedReadNode = TimedReadNode(
-                    name=name,
-                    costs=costs,
-                    buffer_cache=home.buffer_cache,
+            shares = key is not None and (trace is not None or sharers[key] > 1)
+            if shares:
+                rank_node = TracedNode(name, costs, home.buffer_cache)
+            else:
+                rank_node = TimedReadNode(
+                    name=name, costs=costs, buffer_cache=home.buffer_cache,
                     cores=1,
                 )
-                steps = self._rank_steps(
-                    rank, rank_node, build, profile, rng, router
-                )
+            live = partial(
+                self._rank_steps, rank, rank_node, build, profile, rng, router
+            )
+            if not shares:
+                steps = live()
+            elif trace is None:
+                rank_node.trace = traces.claim(key)
+                steps = traced(live(), rank_node)
             else:
-                rank_node = TracedNode(name, costs, home.buffer_cache)
-                if trace is None:
-                    rank_node.trace = traces.claim(key)
-                    steps = traced(
-                        self._rank_steps(
-                            rank, rank_node, build, profile, rng, router
-                        ),
-                        rank_node,
-                    )
-                else:
-                    follower = self._follower(
-                        rank, rank_node, trace, build, profile, rng, router
-                    )
-                    followers.append(follower)
-                    self._drivers[rank] = follower
-                    steps = follower.steps()
+                # A rank replaying ``trace``; a rebuild runs it live.
+                follower = Follower(
+                    rank_node,
+                    trace,
+                    router,
+                    build.mode.value,
+                    launch=partial(self._launch_delay, rank=rank, rng=rng),
+                    live=live,
+                )
+                followers.append(follower)
+                self._drivers[rank] = follower
+                steps = follower.steps()
             if start_s > 0.0:
                 rank_node.clock.advance_to_seconds(start_s)
             tasks.append(
@@ -624,9 +450,7 @@ class MultiRankJob:
             self.n_rebuilt = sum(f.rebuilt for f in followers)
             mpi_per_rank = self._mpi_phase(view, simulated)
             reports = {
-                rank: self._drivers[rank].final_report(
-                    mpi_s=mpi_per_rank[rank]
-                )
+                rank: self._drivers[rank].report(mpi_s=mpi_per_rank[rank])
                 for rank in simulated
             }
             # Reports are read-only downstream, so replicated ranks share
@@ -635,8 +459,8 @@ class MultiRankJob:
                 reports[representative[rank]] for rank in range(self.n_tasks)
             ]
             distribution_label = (
-                self.distribution.label
-                if self.distribution is not None
+                self.spec.distribution.label
+                if self.spec.distribution is not None
                 else "none"
             )
             if plan is not None:
@@ -649,7 +473,7 @@ class MultiRankJob:
                 staging_per_node = None
             nfs_windows, nfs_bookings = view.nfs.timeline_stats()
             pfs_windows, pfs_bookings = view.pfs.timeline_stats()
-            if self.faults is not None:
+            if self.spec.faults is not None:
                 degradation = DegradationStats(
                     recovery_events=(
                         plan.recovery_events if plan is not None else ()
@@ -670,7 +494,7 @@ class MultiRankJob:
                 n_tasks=self.n_tasks,
                 n_nodes=self.n_nodes,
                 rank0=per_rank[0],
-                cold=not self.warm_file_cache,
+                cold=not self.spec.warm_file_cache,
                 engine="multirank",
                 per_rank=per_rank,
                 distribution=distribution_label,
@@ -706,39 +530,23 @@ class MultiRankJob:
     # ------------------------------------------------------------------
     def _warm_nodes(self, rng: SeededRng) -> list[int]:
         """Node indices whose buffer caches start warm."""
-        if self.warm_file_cache:
+        if self.spec.warm_file_cache:
             return list(range(self.n_nodes))
-        warm = set(self.scenario.warm_nodes)
+        warm = set(self.spec.warm_nodes)
         warm.update(
-            warm_node_selection(
-                self.n_nodes, self.scenario.warm_node_fraction, rng
-            )
+            warm_node_selection(self.n_nodes, self.spec.warm_fraction, rng)
         )
         return sorted(warm)
-
-    def _warm_caches(
-        self,
-        cluster: Cluster,
-        build: BuildImage,
-        rng: SeededRng,
-        node_indices: "list[int] | None" = None,
-    ) -> None:
-        """Model prior activity leaving DLLs in some nodes' disk caches."""
-        if node_indices is None:
-            node_indices = self._warm_nodes(rng)
-        for index in node_indices:
-            for image in build.images.values():
-                cluster.nodes[index].buffer_cache.read(image)
 
     def _launch_delay(
         self, ctx: ClockContext, rank: int, rng: SeededRng
     ) -> None:
         """A rank's launch step: launcher latency plus its OS jitter."""
         ctx.stall_seconds(ctx.costs.job_launch_latency_s)
-        if self.scenario.os_jitter_s > 0.0:
+        if self.spec.os_jitter_s > 0.0:
             ctx.stall_seconds(
                 rng.fork(f"rank{rank}:jitter").uniform(
-                    0.0, self.scenario.os_jitter_s
+                    0.0, self.spec.os_jitter_s
                 )
             )
 
@@ -750,62 +558,24 @@ class MultiRankJob:
         profile: OsProfile,
         rng: SeededRng,
         router: "object | None" = None,
-    ) -> Generator[None, None, dict]:
-        """One rank's whole job as a resumable generator.
+    ) -> Generator[None, None, PynamicDriver]:
+        """Rank ``rank``'s lifecycle (:func:`rank_steps`) on ``node``.
 
-        Returns the rank's clock-free outputs (the end of its trace
-        when ``node`` records one).
+        Startup interleaves per shared object, imports and visits per
+        module, so cold-start NFS contention interleaves across ranks
+        during program start, not just during imports.
         """
-        env = {}
-        if self.mode is BuildMode.LINKED_BIND_NOW:
-            env["LD_BIND_NOW"] = "1"
-        process = node.spawn(
-            profile=profile, env=env, rng=rng.fork(f"rank{rank}:aslr")
-        )
-        ctx = ExecutionContext(process)
-        self._launch_delay(ctx, rank, rng)
-        yield
-        linker = DynamicLinker(
-            build.registry, prelink=self.prelink, router=router  # type: ignore[arg-type]
-        )
-        # Per-object startup: one step per shared object mapped, relocated
-        # or PLT-filled, so cold-start NFS contention interleaves across
-        # ranks during program start — not just during imports.
-        yield from linker.start_program_steps(process, build.executable, ctx)
-        ctx.work(ctx.costs.interpreter_boot_instructions)
-        driver = _SteppedDriver(
-            build=build,
-            linker=linker,
-            process=process,
-            ctx=ctx,
+        return rank_steps(
+            node,
+            build,
+            profile,
+            rng.fork(f"rank{rank}:aslr"),
+            launch=partial(self._launch_delay, rank=rank, rng=rng),
+            prelink=self.spec.prelink,
+            router=router,
+            on_driver=lambda driver: self._drivers.__setitem__(rank, driver),
             on_mark=(
                 node.record_mark if isinstance(node, TracedNode) else None
-            ),
-        )
-        self._drivers[rank] = driver
-        yield
-        yield from driver.steps()
-        return driver.outputs()
-
-    def _follower(
-        self,
-        rank: int,
-        node: TracedNode,
-        trace: list[tuple],
-        build: BuildImage,
-        profile: OsProfile,
-        rng: SeededRng,
-        router: "object | None",
-    ) -> Follower:
-        """A rank replaying ``trace``; a rebuild re-runs it live on ``node``."""
-        return Follower(
-            node,
-            trace,
-            router,
-            build.mode.value,
-            launch=lambda ctx: self._launch_delay(ctx, rank, rng),
-            live=lambda: self._rank_steps(
-                rank, node, build, profile, rng, router
             ),
         )
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 from array import array
 from typing import Any, Callable, Generator, Hashable
 
-from repro.core.driver import DriverReport
+from repro.core.driver import DriverReport, PynamicDriver
 from repro.errors import DriverError
 from repro.fs.buffercache import BufferCache
 from repro.fs.files import FileImage
@@ -215,13 +215,13 @@ class TracedNode(TimedReadNode):
 
 
 def traced(
-    steps: Generator[None, None, object], node: TracedNode
+    steps: Generator[None, None, PynamicDriver], node: TracedNode
 ) -> Generator[None, None, None]:
     """Run a live rank program on ``node``, recording its step boundaries.
 
     The program's first step (the launch and its per-rank jitter) is
-    never part of a trace; its return value is the rank's clock-free
-    outputs, which end the trace.
+    never part of a trace; its return value is the rank's driver, whose
+    clock-free outputs end the trace.
     """
     next(steps)
     node.mark = node.clock.cycles
@@ -230,7 +230,7 @@ def traced(
         try:
             next(steps)
         except StopIteration as stop:
-            node.record(END, stop.value)
+            node.record(END, stop.value.outputs())
             return
         node.record(YIELD)
         yield
@@ -241,7 +241,7 @@ class Follower:
 
     Until it rebuilds, a follower stands in for the rank's driver:
     :attr:`ctx` is a :class:`ClockContext` for the MPI phase, and
-    :meth:`final_report` assembles the rank's report from its own clock
+    :meth:`report` assembles the rank's report from its own clock
     readings and the trace's clock-free outputs.  A follower builds no
     cache hierarchy, address space or link map.
 
@@ -335,7 +335,7 @@ class Follower:
         else:
             self._timer.stop(label[1:])
 
-    def final_report(self, mpi_s: float) -> DriverReport:
+    def report(self, mpi_s: float) -> DriverReport:
         """The rank's :class:`DriverReport` once its trace has replayed."""
         outputs = self._outputs
         if outputs is None:

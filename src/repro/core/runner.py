@@ -5,11 +5,14 @@ invocation on Zeus would: stage the generated DLLs on NFS, (optionally)
 pre-warm the node's disk buffer cache — Table I/II runs were warm-cache;
 Table IV explicitly contrasts cold vs. warm — launch the process, run the
 dynamic loader and the interpreter, then hand control to the driver.
+That rank lifecycle is :func:`rank_steps`, the one generator both job
+engines run: drained here, interleaved by the multi-rank engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Generator
 
 from repro.core.builds import BuildImage, BuildMode, build_benchmark
 from repro.core.config import PynamicConfig
@@ -20,8 +23,10 @@ from repro.elf.symbols import HashStyle
 from repro.errors import ConfigError
 from repro.linker.dynamic import DynamicLinker
 from repro.machine.cluster import Cluster
-from repro.machine.context import ExecutionContext
+from repro.machine.context import ClockContext, ExecutionContext
+from repro.machine.node import Node
 from repro.machine.osprofile import OsProfile, linux_chaos
+from repro.machine.scheduler import drain
 from repro.mpi.api import MpiSession
 from repro.perf.tracing import EventTrace
 from repro.rng import SeededRng
@@ -85,36 +90,79 @@ class BenchmarkRunner:
             # in the node's disk cache; no simulated time elapses.
             for image in build.images.values():
                 node.buffer_cache.read(image)
-        env = {}
-        if self.mode is BuildMode.LINKED_BIND_NOW:
-            env["LD_BIND_NOW"] = "1"
-        process = node.spawn(
-            profile=self.os_profile,
-            env=env,
-            rng=SeededRng(getattr(self.spec.config, "seed", 0)),
-        )
-        ctx = ExecutionContext(process)
-        # Job launcher (srun) latency, then exec + dynamic loader + the
-        # interpreter boot; the driver's first line runs after that.
-        ctx.stall_seconds(ctx.costs.job_launch_latency_s)
-        linker = DynamicLinker(build.registry, prelink=self.prelink, trace=self.trace)
-        linker.start_program(process, build.executable, ctx)
-        ctx.work(ctx.costs.interpreter_boot_instructions)
         mpi_session = None
         if getattr(self.spec.config, "mpi_test", False):
             mpi_session = MpiSession(cluster=cluster, n_tasks=self.n_tasks)
-        driver = PynamicDriver(
-            build=build,
-            linker=linker,
-            process=process,
-            ctx=ctx,
-            mpi_session=mpi_session,
+        driver = drain(
+            rank_steps(
+                node,
+                build,
+                self.os_profile,
+                SeededRng(getattr(self.spec.config, "seed", 0)),
+                launch=_launcher_latency,
+                prelink=self.prelink,
+                trace=self.trace,
+                mpi_session=mpi_session,
+            )
         )
-        report = driver.run()
         return RunResult(
             mode=self.mode,
-            report=report,
+            report=driver.finish(),
             build=build,
             cluster=cluster,
-            linker=linker,
+            linker=driver.linker,
         )
+
+
+def _launcher_latency(ctx: ClockContext) -> None:
+    """Job launcher (srun) latency, the same for every rank."""
+    ctx.stall_seconds(ctx.costs.job_launch_latency_s)
+
+
+def rank_steps(
+    node: Node,
+    build: BuildImage,
+    profile: OsProfile,
+    rng: SeededRng,
+    launch: Callable[[ClockContext], None],
+    *,
+    prelink: bool = False,
+    router: "object | None" = None,
+    trace: "EventTrace | None" = None,
+    mpi_session: "MpiSession | None" = None,
+    on_driver: "Callable[[PynamicDriver], None] | None" = None,
+    on_mark: "Callable[[str], None] | None" = None,
+) -> Generator[None, None, PynamicDriver]:
+    """One rank's lifecycle as a resumable generator; returns its driver.
+
+    Spawn (``rng`` draws the load addresses), ``launch(ctx)`` (launcher
+    latency, plus per-rank jitter on the multi-rank engine), exec and
+    the dynamic loader one shared object per step, the interpreter
+    boot, then the driver's import and visit steps.  The analytic
+    runner drains it; the multi-rank engine interleaves it with the
+    other ranks.  ``on_driver`` hears the driver before its first step.
+    """
+    env = {}
+    if build.mode is BuildMode.LINKED_BIND_NOW:
+        env["LD_BIND_NOW"] = "1"
+    process = node.spawn(profile=profile, env=env, rng=rng)
+    ctx = ExecutionContext(process)
+    launch(ctx)
+    yield
+    linker = DynamicLinker(
+        build.registry, prelink=prelink, trace=trace, router=router  # type: ignore[arg-type]
+    )
+    yield from linker.start_program_steps(process, build.executable, ctx)
+    ctx.work(ctx.costs.interpreter_boot_instructions)
+    driver = PynamicDriver(
+        build=build,
+        linker=linker,
+        process=process,
+        ctx=ctx,
+        mpi_session=mpi_session,
+    )
+    if on_driver is not None:
+        on_driver(driver)
+    yield
+    yield from driver.steps(on_mark)
+    return driver

@@ -171,30 +171,34 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_spec(source: str):
-    """Resolve ``--spec``: a JSON file path or a preset name.
+def _load_document(source: str, parse, preset=None):
+    """Resolve a document source: a JSON file path or a preset name.
 
-    File documents go through :func:`parse_spec_document` — the same
-    validate-and-hash entry the simulation service routes submissions
-    through, so the CLI and server can never disagree on a document.
+    Files go through ``parse`` (:func:`parse_spec_document` or
+    :func:`parse_workload_document`), the validate-and-hash entries the
+    simulation service routes submissions through, so the CLI and the
+    server can never disagree on a document.  Without ``preset`` the
+    source must be a file.  Every file error is a :class:`ConfigError`
+    that names the file.
     """
-    from repro.scenario import parse_spec_document, scenario_preset
-
     looks_like_path = (
         source.endswith(".json")
         or os.path.sep in source
         or os.path.exists(source)
     )
-    if not looks_like_path:
-        return scenario_preset(source)
+    if preset is not None and not looks_like_path:
+        return preset(source)
     try:
         with open(source, encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
-        raise ConfigError(f"--spec {source}: {exc}") from None
+        raise ConfigError(f"{source}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"--spec {source}: not valid JSON ({exc})") from None
-    return parse_spec_document(data)
+        raise ConfigError(f"{source}: not valid JSON ({exc})") from None
+    try:
+        return parse(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def _apply_overrides(spec, assignments: list[str]):
@@ -406,7 +410,7 @@ def _run_spec_dir(args: argparse.Namespace) -> int:
     spec hash — the open ROADMAP batch-study item.
     """
     from repro.results.schema import extract_columns
-    from repro.scenario import ScenarioSpec, simulate
+    from repro.scenario import ScenarioSpec, parse_spec_document, simulate
 
     spec_dir = args.spec_dir
     if not os.path.isdir(spec_dir):
@@ -423,15 +427,9 @@ def _run_spec_dir(args: argparse.Namespace) -> int:
     specs: list[tuple[str, ScenarioSpec]] = []
     for path in paths:
         try:
-            with open(path, encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            return 1
-        try:
-            specs.append((path, ScenarioSpec.from_dict(data)))
+            specs.append((path, _load_document(path, parse_spec_document)))
         except ConfigError as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
+            print(f"{exc}", file=sys.stderr)
             return 1
     out_dir = args.out or os.path.join(spec_dir, "results")
     os.makedirs(out_dir, exist_ok=True)
@@ -471,37 +469,13 @@ def _run_spec_dir(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_workload_spec(source: str):
-    """Resolve a workload source: a JSON file path or a preset name.
-
-    File documents go through :func:`parse_workload_document`, the
-    shared validate-and-hash entry (see :func:`_load_spec`).
-    """
-    from repro.workload import parse_workload_document, workload_preset
-
-    looks_like_path = (
-        source.endswith(".json")
-        or os.path.sep in source
-        or os.path.exists(source)
-    )
-    if not looks_like_path:
-        return workload_preset(source)
-    try:
-        with open(source, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{source}: not valid JSON ({exc})") from None
-    return parse_workload_document(data)
-
-
 def _run_workload_command(args: argparse.Namespace) -> int:
     """The ``workload run/show/validate/schema/presets`` subcommands."""
     from repro.workload import (
         WORKLOAD_JSON_SCHEMA,
         parse_workload_document,
         run_workload,
+        workload_preset,
         workload_preset_names,
     )
 
@@ -512,33 +486,22 @@ def _run_workload_command(args: argparse.Namespace) -> int:
         for name in workload_preset_names():
             print(name)
         return 0
-    if args.workload_command == "validate":
-        try:
-            with open(args.source, encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"{args.source}: {exc}", file=sys.stderr)
-            return 1
-        try:
-            spec = parse_workload_document(data)
-        except ConfigError as exc:
-            print(f"{args.source}: {exc}", file=sys.stderr)
-            return 1
-        print(f"{args.source}: valid (workload_hash {spec.workload_hash})")
-        return 0
-    if args.workload_command == "hash":
-        try:
-            spec = _load_workload_spec(args.source)
-        except ConfigError as exc:
-            print(f"{args.source}: {exc}", file=sys.stderr)
-            return 1
-        print(spec.workload_hash)
-        return 0
+    validating = args.workload_command == "validate"
     try:
-        spec = _load_workload_spec(args.source)
+        spec = _load_document(
+            args.source,
+            parse_workload_document,
+            None if validating else workload_preset,
+        )
     except ConfigError as exc:
         print(f"{exc}", file=sys.stderr)
         return 1
+    if validating:
+        print(f"{args.source}: valid (workload_hash {spec.workload_hash})")
+        return 0
+    if args.workload_command == "hash":
+        print(spec.workload_hash)
+        return 0
     if args.workload_command == "show":
         print(json.dumps(spec.to_dict(), indent=2, sort_keys=True))
         print(f"workload_hash {spec.workload_hash}", file=sys.stderr)
@@ -1012,12 +975,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "results":
         return _run_results(args)
     if args.command == "job":
-        from repro.scenario import simulate
+        from repro.scenario import parse_spec_document, scenario_preset, simulate
 
         # Same clean-error contract as `spec show`: a bad name, file or
         # override prints one line, not a traceback.
         try:
-            spec = _load_spec(args.spec)
+            spec = _load_document(
+                args.spec, parse_spec_document, scenario_preset
+            )
             if args.overrides:
                 spec = _apply_overrides(spec, args.overrides)
         except ConfigError as exc:
@@ -1030,19 +995,22 @@ def main(argv: list[str] | None = None) -> int:
 
             profiler = cProfile.Profile()
             profiler.enable()
-        if args.staging_only:
-            from repro.harness.mitigation_scaled import eval_staging_point
-            from repro.harness.sweep import SweepRunner
+        try:
+            if args.staging_only:
+                from repro.harness.mitigation_scaled import eval_staging_point
+                from repro.harness.sweep import SweepRunner
 
-            runner = SweepRunner(cache_dir=args.cache_dir or None)
-            try:
+                runner = SweepRunner(cache_dir=args.cache_dir or None)
                 [summary] = runner.map_specs(eval_staging_point, [spec])
-            except ConfigError as exc:
-                print(f"{exc}", file=sys.stderr)
-                return 1
-            finally:
-                if profiler is not None:
-                    profiler.disable()
+            else:
+                report = simulate(spec, cache_dir=args.cache_dir)
+        except ConfigError as exc:
+            print(f"{exc}", file=sys.stderr)
+            return 1
+        finally:
+            if profiler is not None:
+                profiler.disable()
+        if args.staging_only:
             print(
                 f"staging-only {summary.strategy} pass: "
                 f"{summary.n_files} DLLs to {summary.n_nodes} nodes, "
@@ -1058,41 +1026,31 @@ def main(argv: list[str] | None = None) -> int:
                 f"relay sends {summary.relay_sends}  "
                 f"warm nodes {summary.warm_node_count}"
             )
-            if profiler is not None:
-                import pstats
-
-                print(f"\ncProfile top {args.profile} by own time:")
-                stats = pstats.Stats(profiler, stream=sys.stdout)
-                stats.strip_dirs().sort_stats("tottime").print_stats(
-                    args.profile
+        else:
+            print(
+                f"{report.engine} job: {report.n_tasks} tasks on "
+                f"{report.n_nodes} nodes, "
+                f"{'warm' if not report.cold else 'cold'} caches, "
+                f"distribution={report.distribution}"
+            )
+            print(
+                f"  startup {report.startup_s:.4f}s"
+                f"  import {report.import_s:.4f}s"
+                f"  visit {report.visit_s:.4f}s  mpi {report.mpi_s:.4f}s"
+                f"  total {report.total_s:.4f}s"
+            )
+            if report.per_rank is not None:
+                print(
+                    f"  per-rank total p50/p95/max: {report.total_p50:.4f}/"
+                    f"{report.total_p95:.4f}/{report.total_max:.4f}"
+                    f"  skew {report.total_skew_s:.4f}s"
                 )
-            return 0
-        report = simulate(spec, cache_dir=args.cache_dir)
-        if profiler is not None:
-            profiler.disable()
-        print(
-            f"{report.engine} job: {report.n_tasks} tasks on "
-            f"{report.n_nodes} nodes, "
-            f"{'warm' if not report.cold else 'cold'} caches, "
-            f"distribution={report.distribution}"
-        )
-        print(
-            f"  startup {report.startup_s:.4f}s  import {report.import_s:.4f}s"
-            f"  visit {report.visit_s:.4f}s  mpi {report.mpi_s:.4f}s"
-            f"  total {report.total_s:.4f}s"
-        )
-        if report.per_rank is not None:
-            print(
-                f"  per-rank total p50/p95/max: {report.total_p50:.4f}/"
-                f"{report.total_p95:.4f}/{report.total_max:.4f}"
-                f"  skew {report.total_skew_s:.4f}s"
-            )
-        if report.staging_per_node:
-            print(
-                f"  staging p50/p95/max: {report.staging_p50:.4f}/"
-                f"{report.staging_p95:.4f}/{report.staging_max:.4f}"
-                f"  skew {report.staging_skew_s:.4f}s"
-            )
+            if report.staging_per_node:
+                print(
+                    f"  staging p50/p95/max: {report.staging_p50:.4f}/"
+                    f"{report.staging_p95:.4f}/{report.staging_max:.4f}"
+                    f"  skew {report.staging_skew_s:.4f}s"
+                )
         if profiler is not None:
             import pstats
 
@@ -1104,6 +1062,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.scenario import (
             SCENARIO_JSON_SCHEMA,
             parse_spec_document,
+            scenario_preset,
             scenario_preset_names,
         )
 
@@ -1111,7 +1070,9 @@ def main(argv: list[str] | None = None) -> int:
             # Same clean-error contract as `spec validate`: a bad
             # name/file/override prints one line, not a traceback.
             try:
-                spec = _load_spec(args.source)
+                spec = _load_document(
+                    args.source, parse_spec_document, scenario_preset
+                )
                 if args.overrides:
                     spec = _apply_overrides(spec, args.overrides)
             except ConfigError as exc:
@@ -1120,27 +1081,21 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(spec.to_dict(), indent=2, sort_keys=True))
             print(f"spec_hash {spec.spec_hash}", file=sys.stderr)
             return 0
-        if args.spec_command == "validate":
+        if args.spec_command in ("validate", "hash"):
+            validating = args.spec_command == "validate"
             try:
-                with open(args.source, encoding="utf-8") as handle:
-                    data = json.load(handle)
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"{args.source}: {exc}", file=sys.stderr)
-                return 1
-            try:
-                spec = parse_spec_document(data)
-            except ConfigError as exc:
-                print(f"{args.source}: {exc}", file=sys.stderr)
-                return 1
-            print(f"{args.source}: valid (spec_hash {spec.spec_hash})")
-            return 0
-        if args.spec_command == "hash":
-            try:
-                spec = _load_spec(args.source)
+                spec = _load_document(
+                    args.source,
+                    parse_spec_document,
+                    None if validating else scenario_preset,
+                )
             except ConfigError as exc:
                 print(f"{exc}", file=sys.stderr)
                 return 1
-            print(spec.spec_hash)
+            if validating:
+                print(f"{args.source}: valid (spec_hash {spec.spec_hash})")
+            else:
+                print(spec.spec_hash)
             return 0
         if args.spec_command == "schema":
             print(json.dumps(SCENARIO_JSON_SCHEMA, indent=2, sort_keys=True))

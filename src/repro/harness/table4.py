@@ -174,7 +174,7 @@ def debugger_multirank_rows(
         cores_per_node=-(-n_tasks // n_nodes),
         straggler_nodes=(1,),
         straggler_slowdown=2.0,
-    ).job_scenario()
+    )
     cluster2, build2 = _table4_build(n_nodes, config)
     runs["cold+straggler"] = ParallelDebugger(
         cluster2, n_tasks=n_tasks

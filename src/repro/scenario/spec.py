@@ -37,7 +37,7 @@ from repro.faults.spec import FaultSpec
 from repro.machine.osprofile import OsProfile, aix32, bluegene, linux_chaos
 
 if TYPE_CHECKING:
-    from repro.core.multirank import JobScenario
+    from repro.machine.costs import CostModel
 
 #: Valid values of the ``engine`` field.
 ENGINES = ("analytic", "multirank")
@@ -236,19 +236,7 @@ class ScenarioSpec:
             self, "node_os_profiles", self._normalized_profiles()
         )
         n_nodes = self.n_nodes
-        for field_name in ("straggler_nodes", "warm_nodes"):
-            for index in getattr(self, field_name):
-                if index >= n_nodes:
-                    raise ConfigError(
-                        f"{field_name}: node {index} outside the "
-                        f"{n_nodes}-node job"
-                    )
-        for index, _ in self.node_os_profiles:
-            if index >= n_nodes:
-                raise ConfigError(
-                    f"node_os_profiles: node {index} outside the "
-                    f"{n_nodes}-node job"
-                )
+        self.validate_node_indices(n_nodes)
         if self.faults is not None:
             for crash in self.faults.crashes:
                 if crash.node >= n_nodes:
@@ -358,23 +346,43 @@ class ScenarioSpec:
         """The :class:`OsProfile` object the name resolves to."""
         return OS_PROFILES[self.os_profile]()
 
-    def job_scenario(self) -> "JobScenario":
-        """The heterogeneity fields in the form the multirank engine and
-        the multirank debugger read."""
-        from repro.core.multirank import JobScenario
+    # -- per-node heterogeneity (the job engine and multirank debugger) ----
+    def validate_node_indices(self, n_nodes: int) -> None:
+        """Reject per-node knobs naming nodes outside an ``n_nodes``
+        cluster (the debugger runs a spec's knobs on a cluster of its
+        own, which may be smaller than the spec's job)."""
+        for field_name in ("straggler_nodes", "warm_nodes"):
+            for index in getattr(self, field_name):
+                if index >= n_nodes:
+                    raise ConfigError(
+                        f"{field_name}: node {index} outside the "
+                        f"{n_nodes}-node job"
+                    )
+        for index, _ in self.node_os_profiles:
+            if index >= n_nodes:
+                raise ConfigError(
+                    f"node_os_profiles: node {index} outside the "
+                    f"{n_nodes}-node job"
+                )
 
-        profiles = {
-            index: OS_PROFILES[name]()
-            for index, name in self.node_os_profiles
-        }
-        return JobScenario(
-            straggler_nodes=self.straggler_nodes,
-            straggler_slowdown=self.straggler_slowdown,
-            os_jitter_s=self.os_jitter_s,
-            warm_node_fraction=self.warm_fraction,
-            warm_nodes=self.warm_nodes,
-            node_os_profiles=profiles or None,
+    def node_costs(self, index: int, base: "CostModel") -> "CostModel":
+        """``base`` with the straggler slowdown applied if node ``index``
+        is throttled."""
+        if index not in self.straggler_nodes:
+            return base
+        return replace(
+            base,
+            frequency_hz=max(
+                1, int(base.frequency_hz / self.straggler_slowdown)
+            ),
         )
+
+    def node_profile(self, index: int, default: OsProfile) -> OsProfile:
+        """The OS profile for node ``index`` (``default`` if unlisted)."""
+        for node, name in self.node_os_profiles:
+            if node == index:
+                return OS_PROFILES[name]()
+        return default
 
     def with_(self, **changes: object) -> "ScenarioSpec":
         """A copy with ``changes`` applied (re-validated)."""

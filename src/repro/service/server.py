@@ -39,6 +39,12 @@ close idle kept-alive connections, cancel never-started jobs (marked
 ``abandoned``), wait for in-flight workers to finish — they commit to
 the warehouse themselves, so every completed result survives — then
 emit the terminal events and close.
+
+A worker that dies (killed, out of memory) breaks the pool for good:
+its job ends ``failed``, every later cold ``POST /v1/jobs`` is finished
+``failed`` and answered 503 ``workers-unavailable``, and ``/healthz``
+answers 503, so a supervisor restarts the service.  Warm answers are
+still served from the warehouse.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ import sqlite3
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from http import HTTPStatus
 from typing import Callable
@@ -206,6 +213,8 @@ class SimulationServer:
         #: stop() closes them, busy ones close after their reply.
         self._idle: set = set()
         self._stopping = False
+        #: Set once a worker died: the pool is then broken for good.
+        self._workers_lost = False
 
     @property
     def address(self) -> "tuple[str, int]":
@@ -276,10 +285,15 @@ class SimulationServer:
             )
         if self._finishers:
             await asyncio.gather(*self._finishers, return_exceptions=True)
-        if self._progress_queue is not None:
+        # A worker killed mid-put can hold the progress queue's write
+        # lock forever; a put would then start a feeder thread that
+        # blocks on it, and the interpreter joins that thread at exit.
+        # So after a worker died, the daemon drain thread is left to end
+        # with the process.
+        if self._progress_queue is not None and not self._workers_lost:
             self._progress_queue.put(None)  # stop the drain thread
-        if self._drain_thread is not None:
-            self._drain_thread.join(timeout=10)
+            if self._drain_thread is not None:
+                self._drain_thread.join(timeout=10)
         if self._server is not None:
             # After the drain: on Python 3.12+ this also waits for every
             # connection to close, and event streams close only once
@@ -328,10 +342,7 @@ class SimulationServer:
             self.registry.finish(job, "abandoned")
             return
         except Exception as exc:  # worker raised (ConfigError, bug, ...)
-            counters["jobs_failed"] += 1
-            self.registry.finish(
-                job, "failed", error=f"{type(exc).__name__}: {exc}"
-            )
+            self._fail(job, exc)
             return
         finally:
             self._pool_futures.pop(job.job_id, None)
@@ -351,6 +362,17 @@ class SimulationServer:
                 self._drain_waits.pop(job.job_id, None)
         counters["jobs_completed"] += 1
         self.registry.finish(job, "done", result=result)
+
+    def _fail(self, job, exc: Exception) -> None:
+        """Finish ``job`` failed.  A dead worker breaks the pool for
+        good: rebuilding it would fork after the server's threads have
+        started, the deadlock :meth:`start` avoids."""
+        if isinstance(exc, BrokenProcessPool):
+            self._workers_lost = True
+        self.registry.counters["jobs_failed"] += 1
+        self.registry.finish(
+            job, "failed", error=f"{type(exc).__name__}: {exc}"
+        )
 
     # -- warehouse (the one read-only handle, on its reader thread) --------
     async def _warehouse(self, query: Callable[[object], object]) -> object:
@@ -500,9 +522,18 @@ class SimulationServer:
         doc = spec.to_dict()
         job = self.registry.create(kind, spec_hash, doc)
         assert self._loop is not None and self._pool is not None
-        pool_future = self._pool.submit(
-            run_job, job.job_id, kind, doc, self.config.cache_dir
-        )
+        try:
+            pool_future = self._pool.submit(
+                run_job, job.job_id, kind, doc, self.config.cache_dir
+            )
+        except BrokenProcessPool as exc:
+            self._fail(job, exc)
+            raise _HttpError(
+                HTTPStatus.SERVICE_UNAVAILABLE,
+                "workers-unavailable",
+                "a worker process died and the pool cannot run jobs; "
+                "restart the service",
+            ) from exc
         self._pool_futures[job.job_id] = pool_future
         job.aio_future = asyncio.wrap_future(pool_future, loop=self._loop)
         finisher = asyncio.ensure_future(self._finish_job(job, job.aio_future))
@@ -588,6 +619,11 @@ class SimulationServer:
         }
 
     def _get_healthz(self) -> "tuple[HTTPStatus, dict]":
+        if self._workers_lost:
+            return HTTPStatus.SERVICE_UNAVAILABLE, {
+                "error": "workers-unavailable",
+                "detail": "a worker process died; restart the service",
+            }
         return HTTPStatus.OK, {
             "status": "draining" if self._stopping else "ok",
             "uptime_s": (

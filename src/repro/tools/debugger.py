@@ -27,7 +27,6 @@ from typing import Generator
 
 from repro.core.builds import BuildImage
 from repro.core.job import percentile
-from repro.core.multirank import JobScenario
 from repro.elf.image import SharedObject
 from repro.elf.sections import TOOL_SECTIONS
 from repro.errors import ToolError
@@ -37,6 +36,7 @@ from repro.machine.node import Node, TimedReadNode
 from repro.machine.osprofile import OsProfile, linux_chaos
 from repro.machine.scheduler import EventScheduler, RankTask, SteppedProgram
 from repro.rng import SeededRng
+from repro.scenario.spec import ScenarioSpec
 from repro.tools.ptrace import PtraceInterface, TracedTask
 
 
@@ -212,7 +212,7 @@ class ParallelDebugger:
         self,
         build: BuildImage,
         cold: bool = True,
-        scenario: JobScenario | None = None,
+        scenario: ScenarioSpec | None = None,
         seed: int = 0,
     ) -> MultirankDebuggerStartup:
         """Two-phase startup with one stepped debug server per node.
@@ -226,15 +226,14 @@ class ParallelDebugger:
         daemon sees only buffer-cache hits and the totals equal
         :meth:`startup`'s analytic ones.
 
-        ``scenario`` carries a spec's heterogeneity knobs (stragglers,
-        jitter, per-node OS profiles) as
-        :meth:`repro.scenario.spec.ScenarioSpec.job_scenario` returns
-        them; ``seed`` feeds the deterministic jitter draws.
+        ``scenario`` is a :class:`ScenarioSpec` whose heterogeneity
+        knobs (stragglers, jitter, per-node OS profiles) the daemons
+        run; ``seed`` feeds the deterministic jitter draws.
         """
-        scenario = scenario or JobScenario()
         if cold:
             self.cluster.drop_buffer_caches()
         nodes = self.cluster.nodes_for_job(self.n_tasks)
+        scenario = scenario or ScenarioSpec()
         scenario.validate_node_indices(len(nodes))
         self.cluster.nfs.reset_queue()
         self.cluster.pfs.reset_queue()

@@ -1,6 +1,6 @@
 """The multi-rank discrete-event job engine and the parallel sweep runner."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -151,8 +151,24 @@ class TestScenarios:
             multirank.with_(warm_fraction=1.5)
         with pytest.raises(ConfigError, match="outside the 1-node job"):
             multirank.with_(straggler_nodes=(5,))
-        assert multirank.job_scenario().is_homogeneous
-        assert not multirank.with_(os_jitter_s=0.1).job_scenario().is_homogeneous
+        assert multirank.is_homogeneous
+        assert not multirank.with_(os_jitter_s=0.1).is_homogeneous
+
+
+class TestEnginesAgreeOnOneRank:
+    """Both engines drive a rank through the same lifecycle
+    (``repro.core.runner.rank_steps``): a 1-task job's rank 0 is the
+    same report, field for field, under either engine."""
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+    @pytest.mark.parametrize("mode", list(BuildMode), ids=lambda m: m.value)
+    def test_rank0_is_identical(self, mode, warm):
+        spec = ScenarioSpec(
+            config=presets.tiny(), mode=mode, warm_file_cache=warm
+        )
+        analytic = PynamicJob(spec).run().rank0
+        multirank = PynamicJob(spec.with_(engine="multirank")).run().rank0
+        assert asdict(analytic) == asdict(multirank)
 
 
 class TestEngineDispatch:

@@ -8,13 +8,13 @@ import pytest
 from repro.core import presets
 from repro.core.builds import BuildMode
 from repro.core.job import PynamicJob
-from repro.core.multirank import JobScenario, MultiRankJob
+from repro.core.multirank import MultiRankJob
 from repro.dist.topology import DistributionSpec, Topology
 from repro.elf.symbols import HashStyle
 from repro.errors import ConfigError
 from repro.harness.cli import main
 from repro.harness.sweep import SweepRunner, sweep_scenarios
-from repro.machine.osprofile import aix32
+from repro.machine.osprofile import aix32, linux_chaos
 from repro.scenario import (
     Scenario,
     ScenarioSpec,
@@ -236,9 +236,8 @@ class TestBuilder:
         assert spec.straggler_nodes == (2,)
         assert spec.straggler_slowdown == 3.0
         assert spec.node_os_profiles == ((1, "aix32"),)
-        scenario = spec.job_scenario()
-        assert isinstance(scenario, JobScenario)
-        assert scenario.node_os_profiles == {1: aix32()}
+        assert spec.node_profile(1, linux_chaos()) == aix32()
+        assert spec.node_profile(0, linux_chaos()) == linux_chaos()
 
     def test_order_independence(self):
         a = Scenario.preset("tiny").pipelined().nodes(16).build()

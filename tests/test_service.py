@@ -25,7 +25,9 @@ the CLI runs) and talks to it over real HTTP with the stdlib
 - connections are kept alive, and closed on ``Connection: close``,
   HTTP/1.0, an error that leaves input unread (413, 431, 501 for
   ``Transfer-Encoding``) and SIGTERM; the client reconnects after an
-  idle close and never resends a request whose answer had begun.
+  idle close and never resends a request whose answer had begun;
+- a worker killed mid-job fails its job, and with the pool broken every
+  later cold job is failed and answered 503 and ``/healthz`` is 503.
 """
 
 import asyncio
@@ -35,6 +37,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import signal
 import socket
 import sqlite3
 import threading
@@ -859,3 +862,46 @@ class TestShutdownWithKeptAliveConnections:
                 proc.kill()
                 proc.wait()
             proc.stdout.close()
+
+
+class TestWorkerKilledMidJob:
+    def test_the_job_fails_and_later_cold_jobs_get_503(self, tmp_path):
+        """SIGKILL the only worker mid-job: that job ends failed, every
+        later cold POST is failed and answered 503 (not queued forever
+        and deduplicated onto), and /healthz reports the dead pool."""
+        config = ServiceConfig(port=0, workers=1, cache_dir=str(tmp_path))
+        with running_server(config) as server:
+            client = ServiceClient(*server.address)
+            warm = _tiny_spec(seed=4711)
+            client.submit_and_wait(warm)
+            slow = ScenarioSpec(
+                config=PynamicConfig(
+                    n_modules=40, n_utilities=20, avg_functions=60, seed=4712
+                )
+            )
+            submitted = client.submit(slow)
+            for event in client.events(submitted["job_id"], timeout=30):
+                if event["event"] == "running":
+                    os.kill(event["pid"], signal.SIGKILL)
+                    break
+            final = client.wait(submitted["job_id"], timeout=30)
+            assert final["status"] == "failed"
+            assert "BrokenProcessPool" in final["error"]
+
+            cold = _tiny_spec(seed=4713)
+            for _ in range(2):  # a re-POST is not deduplicated onto it
+                with pytest.raises(ServiceError) as refused:
+                    client.submit(cold)
+                assert refused.value.status == 503
+                assert refused.value.payload["error"] == "workers-unavailable"
+            with pytest.raises(ServiceError) as health:
+                client.healthz()
+            assert health.value.status == 503
+            assert client.submit(warm)["cached"] is True
+            metrics = client.metrics()
+            assert metrics["queue_depth"] == 0
+            assert metrics["jobs_running"] == 0
+            assert metrics["jobs_failed"] == 3
+            client.close()
+        failed = [job for job in server.registry.jobs() if job.status == "failed"]
+        assert len(failed) == 3

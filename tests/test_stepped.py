@@ -252,7 +252,7 @@ class TestMultirankDebugger:
             cores_per_node=self.N_TASKS // 4,
             straggler_nodes=(2,),
             straggler_slowdown=2.0,
-        ).job_scenario()
+        )
         cluster, build = self._cluster_build()
         startup = ParallelDebugger(
             cluster, n_tasks=self.N_TASKS
@@ -279,13 +279,13 @@ class TestMultirankDebugger:
                 build,
                 scenario=_multirank_spec(
                     n_tasks=10, cores_per_node=1, straggler_nodes=(9,)
-                ).job_scenario(),
+                ),
             )
 
     def test_jitter_is_deterministic(self):
         scenario = _multirank_spec(
             n_tasks=self.N_TASKS, os_jitter_s=0.05
-        ).job_scenario()
+        )
         results = []
         for _ in range(2):
             cluster, build = self._cluster_build()

@@ -8,10 +8,13 @@ with the same spec hash, some with distinct ones.  Pinned here:
   hash (from any process) replays it bit-identically, zero re-simulation;
 - distinct hashes each simulate exactly once and land as separate rows;
 - readers in fresh processes (and read-only handles) see every
-  committed row.
+  committed row;
+- a writer killed by SIGTERM in the middle of its stores leaves a
+  warehouse whose every row loads, with nothing counted corrupt.
 """
 
 import pickle
+import time
 from multiprocessing import get_context
 
 from repro.core.config import PynamicConfig
@@ -85,3 +88,48 @@ def test_n_processes_one_warehouse(tmp_path):
             stored = ro.load("_eval_scenario_point", spec_hash)
             assert stored is not None
             assert stored == pickle.loads(runs[0][2])
+
+
+def _store_forever(cache_dir: str, first: int, stored) -> None:
+    """Child entry: store one report under fresh keys until killed,
+    counting each committed store in ``stored``."""
+    from repro.scenario import simulate
+
+    report = simulate(_spec_with_seed(7))
+    with ResultsWarehouse.for_cache_dir(cache_dir) as warehouse:
+        index = first
+        while True:
+            warehouse.store("sigterm_rows", f"row-{index}", report)
+            index += 1
+            with stored.get_lock():
+                stored.value += 1
+
+
+def test_sigterm_during_writes_leaves_every_row_loadable(tmp_path):
+    cache_dir = str(tmp_path)
+    context = get_context("spawn")
+    committed = 0
+    for round_index in range(3):
+        stored = context.Value("i", 0)
+        writer = context.Process(
+            target=_store_forever,
+            args=(cache_dir, 100_000 * round_index, stored),
+        )
+        writer.start()
+        deadline = time.monotonic() + 60
+        while stored.value < 50 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        writer.terminate()  # SIGTERM, mid-store more often than not
+        writer.join(timeout=30)
+        assert writer.exitcode == -15
+        assert stored.value >= 50
+        committed += stored.value
+
+    with ResultsWarehouse.for_cache_dir(cache_dir) as warehouse:
+        rows = warehouse.rows(func="sigterm_rows")
+        # Each store the child counted had committed; the store the
+        # signal interrupted either committed whole or not at all.
+        assert committed <= len(rows) <= committed + 3
+        for row in rows:
+            assert warehouse.load("sigterm_rows", row["result_key"]) is not None
+        assert warehouse.corrupt == 0
