@@ -55,12 +55,6 @@ class FunctionSpec:
             + len(self.libc_calls)
         )
 
-    @property
-    def external_callees(self) -> tuple[str, ...]:
-        """Callees living outside this module (need PLT slots anyway, but
-        these specifically resolve to other DSOs)."""
-        return self.utility_calls + self.cross_module_calls + self.libc_calls
-
 
 @dataclass(frozen=True)
 class LibrarySpec:

@@ -11,9 +11,10 @@ interconnect, serializing sends on a per-node egress-link
 daemon receives is *landed* in its node's disk
 :class:`~repro.fs.buffercache.BufferCache` (the page-cache copy overlaps
 the transfer, so landing charges no extra time), and the landing instant
-is recorded in the resulting :class:`StagingPlan` — the per-(node,
-image) availability map the :class:`~repro.dist.router.NodeRouter` uses
-to stall a rank's cold DLL reads until the overlay has delivered the
+is recorded in the daemon's landing map.  The resulting
+:class:`StagingPlan` keeps those maps, one per node: the per-(node,
+image) availability the :class:`~repro.dist.router.NodeRouter` uses to
+stall a rank's cold DLL reads until the overlay has delivered the
 bytes.
 
 A relay touches nothing shared: its inputs are its parent's sends and
@@ -53,7 +54,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Generator, Iterable, Iterator, Sequence
 
 from repro.dist.topology import DistributionSpec, Topology, children_map
@@ -87,16 +87,18 @@ class RelayChunk:
 class StagingPlan:
     """Outcome of one overlay staging run.
 
-    ``ready_s`` maps ``(node_index, path)`` to the virtual time the image
-    became available on that node (0.0 when the node's cache already held
-    it); ``per_node_done_s[i]`` is when node ``i`` held the *full* set.
+    ``landed[i]`` is node ``i``'s landing map, kept as its relay daemon
+    built it: path -> the virtual time the image became available on
+    that node (the pass's start when the node's cache already held it).
+    :meth:`ready` reads one (node, image) pair from it.
+    ``per_node_done_s[i]`` is when node ``i`` held the *full* set.
     """
 
     strategy: str
     n_nodes: int
     n_files: int
     staged_bytes: int
-    ready_s: dict[tuple[int, str], float]
+    landed: tuple[dict[str, float], ...]
     per_node_done_s: tuple[float, ...]
     root_read_s: float
     #: Chunk sends booked on egress links (one per chunk per child).
@@ -127,7 +129,9 @@ class StagingPlan:
 
     def ready(self, node_index: int, path: str) -> float | None:
         """Availability time of ``path`` on ``node_index`` (None if unstaged)."""
-        return self.ready_s.get((node_index, path))
+        if 0 <= node_index < len(self.landed):
+            return self.landed[node_index].get(path)
+        return None
 
     def router_for(self, node_index: int) -> "NodeRouter":
         """An :class:`ObjectRouter` bound to one node of this plan."""
@@ -171,10 +175,11 @@ class RelayDaemon(SteppedProgram):
         #: Virtual time the staging pass begins (a batch-queued job's
         #: start time on a shared cluster timeline; 0 for a solo job).
         self.start_s = start_s
-        self.images = list(images)
+        #: Every daemon of a pass shares these two tuples.
+        self.images = tuple(images)
         #: Same files, possibly re-pointed at the staging source (PFS
         #: mirrors share the originals' paths, hence their cache pages).
-        self.read_images = list(read_images)
+        self.read_images = tuple(read_images)
         self.reads_source = reads_source
         self.egress_bandwidth_bps = egress_bandwidth_bps
         self.network_latency_s = network_latency_s
@@ -509,7 +514,9 @@ class DistributionOverlay:
                 bandwidth *= link.bandwidth_factor
         return bandwidth
 
-    def _source_images(self, images: Sequence[FileImage]) -> list[FileImage]:
+    def _source_images(
+        self, images: tuple[FileImage, ...]
+    ) -> tuple[FileImage, ...]:
         """The images as read from the staging source.
 
         For ``source="pfs"`` the DLL set is assumed pre-staged on the
@@ -517,15 +524,15 @@ class DistributionOverlay:
         pages land under the originals' cache keys.
         """
         if self.spec.source == "nfs":
-            return list(images)
-        return [
+            return images
+        return tuple(
             FileImage(
                 path=image.path,
                 size_bytes=image.size_bytes,
                 filesystem=self.cluster.pfs,
             )
             for image in images
-        ]
+        )
 
     # The pass allocates a cache run and a stream entry per chunk and
     # leaves no cycle behind: see ``paused_gc``.
@@ -572,6 +579,7 @@ class DistributionOverlay:
                         f"{n_nodes}-node job"
                     )
         children = children_map(spec.topology, n_nodes, spec.fanout)
+        images = tuple(images)
         source_images = self._source_images(images)
         flat = spec.topology is Topology.FLAT
         self.daemons = []
@@ -664,7 +672,6 @@ class DistributionOverlay:
             recovery_events, refetched_bytes = recover_overlay(
                 self.daemons, images, source_images, faults.detection_s
             )
-        ready: dict[tuple[int, str], float] = {}
         per_node_done: list[float] = []
         for daemon in self.daemons:
             landed = daemon.landed
@@ -673,9 +680,6 @@ class DistributionOverlay:
                     f"node {daemon.index} landed {len(landed)} of "
                     f"{len(images)} images"
                 )
-            ready.update(
-                zip(zip(repeat(daemon.index), landed), landed.values())
-            )
             per_node_done.append(max(landed.values()))
         root = self.daemons[0]
         root_read_s = max(root.landed.values(), default=0.0)
@@ -684,7 +688,7 @@ class DistributionOverlay:
             n_nodes=n_nodes,
             n_files=len(images),
             staged_bytes=sum(image.size_bytes for image in images),
-            ready_s=ready,
+            landed=tuple(daemon.landed for daemon in self.daemons),
             per_node_done_s=tuple(per_node_done),
             root_read_s=root_read_s,
             relay_sends=sum(daemon.relay_sends for daemon in self.daemons),

@@ -151,7 +151,3 @@ class LinkMap:
     def objects(self) -> tuple[LoadedObject, ...]:
         """All loaded objects in load order."""
         return tuple(self._objects)
-
-    def total_mapped_bytes(self) -> int:
-        """Sum of allocatable bytes across the map."""
-        return sum(obj.shared_object.sections.alloc_bytes for obj in self._objects)

@@ -430,11 +430,6 @@ class SymbolTable:
         word, mask = bloom_probe(self._hash(name), self.bloom_words)
         return self.bloom[word] & mask == mask
 
-    def bloom_word_offset(self, name: str) -> int:
-        """Byte offset of the Bloom word a lookup reads (GNU hash only)."""
-        word, _ = bloom_probe(self._hash(name), self.bloom_words)
-        return GNU_HASH_HEADER_BYTES + 8 * word
-
     def bucket_of(self, name: str) -> int:
         """The bucket a name hashes into (style-dependent hash)."""
         return self._hash(name) % self.nbuckets
@@ -472,12 +467,6 @@ class SymbolTable:
         return HASH_HEADER_BYTES + HASH_SLOT_BYTES * (self.nbuckets + nchain)
 
     # -- simulated addresses used by the resolver ---------------------------
-    def bucket_slot_offset(self, bucket: int) -> int:
-        """Byte offset of a bucket slot within the hash section."""
-        if not 0 <= bucket < self.nbuckets:
-            raise ConfigError(f"bucket {bucket} out of range")
-        return HASH_HEADER_BYTES + HASH_SLOT_BYTES * bucket
-
     def symbol_entry_offset(self, index: int) -> int:
         """Byte offset of a symbol entry within the dynsym section."""
         if not 0 <= index <= len(self._symbols):

@@ -327,17 +327,6 @@ class FaultSpec:
                 return link
         return None
 
-    def windows_for(self, target: str, kind: str) -> tuple:
-        """``(start_s, end_s, factor)`` triples for one storage target,
-        sorted by start; identity windows (factor 1.0) are dropped."""
-        key = "bandwidth_factor" if kind == "bandwidth" else "iops_factor"
-        triples = sorted(
-            (w.start_s, w.end_s, getattr(w, key))
-            for w in self.brownouts
-            if w.target == target and getattr(w, key) < 1.0
-        )
-        return tuple(triples)
-
     def to_dict(self) -> dict:
         return {
             "crashes": [crash.to_dict() for crash in self.crashes],

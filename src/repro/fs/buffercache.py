@@ -15,9 +15,17 @@ pages in ascending order and each one moves to the tail, so the pages a
 read leaves behind form one ascending run.  Touching part of a run cuts
 that part out, and whatever is left of the run keeps its place.  A range
 that starts right after the tail run of the same file extends that run,
-so a file staged chunk by chunk ends up as one run.  Each file keeps its
-runs sorted by first page, and ``bisect`` over their starts finds the
-runs a range overlaps.  Eviction trims or unlinks runs at the head.
+so a file staged chunk by chunk ends up as one run.  Eviction trims or
+unlinks runs at the head.
+
+The per-file index maps a path to its one run while the file's resident
+pages form one run, which is every staged file.  Only a file split into
+two or more runs gets a list of them, sorted by first page, and
+``bisect`` over their starts finds the runs a range overlaps.  A path
+whose pages have all gone maps to the shared empty tuple, so ``drop``
+leaves no per-file object behind, yet ``contains`` still tells a path
+the cache has held from one it never has (a reversed range reads as
+resident only for the first, as in a page-at-a-time cache).
 
 The list links each run to the next newer one only, and the cache holds
 the newest, so no run is ever reachable from itself: a dropped cache is
@@ -26,7 +34,7 @@ Without back links, a run leaves the middle of the list by taking over
 its successor's pages and link; the successor object is what goes, and
 its file's index is re-pointed at the survivor.
 
-At scale this matters: a node holding ~500 DLLs keeps about one run per
+At scale this matters: a node holding ~500 DLLs keeps one run object per
 file rather than one entry per 4 KiB page, which is millions of entries
 per thousand-node cluster.
 """
@@ -77,8 +85,9 @@ class BufferCache:
         self.page_bytes = page_bytes
         self.hit_bandwidth_bps = hit_bandwidth_bps
         self.hit_latency_s = hit_latency_s
-        #: path -> its resident runs, sorted by first page.
-        self._files: dict[str, list[_Run]] = {}
+        #: path -> its one resident run, its two or more runs sorted by
+        #: first page, or ``()`` once nothing of it is resident.
+        self._files: "dict[str, _Run | list[_Run] | tuple[()]]" = {}
         # Head sentinel of the LRU list: ``next`` is the oldest run.  Its
         # path is None, so no range extends it.
         self._lru = _Run(None, 0, -1)
@@ -170,6 +179,8 @@ class BufferCache:
         last = (offset + size - 1) // self.page_bytes
         if last < first:
             return True
+        if type(runs) is _Run:
+            return runs.first <= first and last <= runs.last
         i = bisect_right(runs, first, key=_first_page) - 1
         if i < 0 or runs[i].last < first:
             return False
@@ -188,8 +199,7 @@ class BufferCache:
 
     def drop(self) -> None:
         """Evict everything — used to model a cold (first) invocation."""
-        for runs in self._files.values():
-            runs.clear()
+        self._files = dict.fromkeys(self._files, ())
         self._lru.next = None
         self._tail = self._lru
         self._resident = 0
@@ -219,21 +229,34 @@ class BufferCache:
         not reached yet; it then counts as missing, as it does page by
         page.
         """
+        tail = self._tail
         runs = self._files.get(path)
-        if runs is None:
-            runs = self._files[path] = []
         if not runs:
             # Nothing of the file is resident (a cold file landing): the
-            # range is one missing segment, newer than every run.
+            # range is one missing run, newer than every run.
             run = _Run(path, first, last)
-            self._tail.next = run
+            tail.next = run
             self._tail = run
-            runs.append(run)
-            missing = last - first + 1
-            self._resident += missing
-            if self._resident > self.capacity_pages:
-                self._evict(self._resident - self.capacity_pages)
-            return missing
+            self._files[path] = run
+        elif runs is tail and tail.last == first - 1:
+            # The next chunk of the file that landed last.
+            tail.last = last
+        else:
+            return self._touch_runs(path, runs, first, last)
+        missing = last - first + 1
+        self._resident += missing
+        if self._resident > self.capacity_pages:
+            self._evict(self._resident - self.capacity_pages)
+        return missing
+
+    def _touch_runs(
+        self, path: str, runs: "_Run | list[_Run]", first: int, last: int
+    ) -> int:
+        """:meth:`_touch` a segment at a time, for a range that may meet
+        resident pages of the file.  ``runs`` is the file's index entry;
+        the walk edits it as a list and stores one run back as itself."""
+        if type(runs) is _Run:
+            runs = self._files[path] = [runs]
         missing = 0
         page = first
         while page <= last:
@@ -256,7 +279,13 @@ class BufferCache:
                 self._resident += end - page + 1
                 if self._resident > self.capacity_pages:
                     self._evict(self._resident - self.capacity_pages)
+                    # Eviction may have shrunk the index to one run.
+                    runs = self._files[path]
+                    if type(runs) is _Run:
+                        runs = self._files[path] = [runs]
             page = end + 1
+        if len(runs) == 1:
+            self._files[path] = runs[0]
         return missing
 
     def _cut(
@@ -283,7 +312,10 @@ class BufferCache:
             # itself; its slot is replaced before ``del`` shifts any.
             after = run.next
             index = self._files[after.path]
-            index[bisect_left(index, after.first, key=_first_page)] = run
+            if index is after:
+                self._files[after.path] = run
+            else:
+                index[bisect_left(index, after.first, key=_first_page)] = run
             del runs[i]
             run.path, run.first, run.last = after.path, after.first, after.last
             run.next = after.next
@@ -321,7 +353,12 @@ class BufferCache:
             if size <= n_pages:
                 lru.next = run.next
                 runs = self._files[run.path]
-                del runs[bisect_left(runs, run.first, key=_first_page)]
+                if runs is run:
+                    self._files[run.path] = ()
+                else:
+                    del runs[bisect_left(runs, run.first, key=_first_page)]
+                    if len(runs) == 1:
+                        self._files[run.path] = runs[0]
                 n_pages -= size
             else:
                 run.first += n_pages

@@ -161,10 +161,6 @@ class Process:
         #: of code" via a command-line timestamp.
         self.invoked_at: float = node.seconds
 
-    def getenv(self, name: str, default: str | None = None) -> str | None:
-        """Environment lookup (e.g. LD_BIND_NOW)."""
-        return self.env.get(name, default)
-
     @property
     def bind_now(self) -> bool:
         """True if LD_BIND_NOW forces eager PLT binding (Table I row 3)."""

@@ -184,10 +184,6 @@ class AddressSpace:
         for page in self._pages_of(address, size):
             self._present.add(page)
 
-    def is_resident(self, address: int, size: int = 1) -> bool:
-        """True if the whole range is already resident."""
-        return all(page in self._present for page in self._pages_of(address, size))
-
     def resident_pages(self) -> int:
         """Number of resident pages."""
         return len(self._present)

@@ -61,11 +61,6 @@ class Scenario:
 
         return cls(scenario_preset(name))
 
-    @classmethod
-    def from_spec(cls, spec: ScenarioSpec) -> "Scenario":
-        """A builder seeded from an existing spec."""
-        return cls(spec)
-
     def _with(self, **changes: object) -> "Scenario":
         clone = Scenario.__new__(Scenario)
         clone._fields = {**self._fields, **changes}

@@ -328,17 +328,6 @@ def compile_schema(schema: Mapping) -> Validator:
     return check
 
 
-def validate_document(data: object, schema: Mapping, path: str = "document") -> None:
-    """Validate any document against a schema with its compiled validator.
-
-    The public spelling of the check behind :func:`validate_spec_dict`,
-    for sibling schemas that *embed* :data:`SCENARIO_JSON_SCHEMA` (the
-    workload layer's ``WORKLOAD_JSON_SCHEMA``) so one compiler serves
-    every published document shape.  ``path`` prefixes error messages.
-    """
-    compile_schema(schema)(data, path)
-
-
 _check_spec = compile_schema(SCENARIO_JSON_SCHEMA)
 
 

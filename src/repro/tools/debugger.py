@@ -57,12 +57,6 @@ class ToolCostModel:
     #: Breakpoints planted before startup (for AIX-style reinsertion).
     initial_breakpoints: int = 0
 
-    @property
-    def t1_seconds(self) -> float:
-        """The per-event per-task handling time (T1 of Section II.B.3)
-        at the default 2.4 GHz clock."""
-        return self.event_per_task_instructions / 2.4e9
-
 
 @dataclass(frozen=True)
 class DebuggerStartup:

@@ -88,12 +88,6 @@ class PtraceInterface:
         task.breakpoints.insert(address)
         self._charge(task, self.BREAKPOINT_POKE_S)
 
-    def remove_breakpoint(self, task: TracedTask, address: int) -> None:
-        """Remove a breakpoint (task must be stopped)."""
-        self._require_stopped(task)
-        task.breakpoints.remove(address)
-        self._charge(task, self.BREAKPOINT_POKE_S)
-
     def handle_load_event(self, task: TracedTask) -> float:
         """Process one dynamic-load event on a task.
 

@@ -539,7 +539,6 @@ class ScheduledOverlay(DistributionOverlay):
             recovery_events, refetched_bytes = recover_overlay(
                 self.daemons, images, source_images, faults.detection_s
             )
-        ready: dict[tuple[int, str], float] = {}
         per_node_done: list[float] = []
         for daemon in self.daemons:
             if len(daemon.landed) != len(images):
@@ -547,8 +546,6 @@ class ScheduledOverlay(DistributionOverlay):
                     f"node {daemon.index} landed {len(daemon.landed)} of "
                     f"{len(images)} images"
                 )
-            for path, landed_s in daemon.landed.items():
-                ready[(daemon.index, path)] = landed_s
             per_node_done.append(max(daemon.landed.values()))
         root = self.daemons[0]
         root_read_s = max(root.landed.values(), default=0.0)
@@ -557,7 +554,7 @@ class ScheduledOverlay(DistributionOverlay):
             n_nodes=n_nodes,
             n_files=len(images),
             staged_bytes=sum(image.size_bytes for image in images),
-            ready_s=ready,
+            landed=tuple(daemon.landed for daemon in self.daemons),
             per_node_done_s=tuple(per_node_done),
             root_read_s=root_read_s,
             relay_sends=sum(daemon.relay_sends for daemon in self.daemons),

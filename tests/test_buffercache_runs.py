@@ -86,11 +86,16 @@ def _run_lru(cache: BufferCache) -> list[tuple[str, int]]:
 
 
 def _check_runs(cache: BufferCache) -> None:
-    """Every file's index is sorted, disjoint, and names exactly the
-    runs on the LRU list; the page count matches."""
+    """Every file's index is empty, its one run or a sorted, disjoint
+    list of two or more, and together they name exactly the runs on the
+    LRU list; the page count matches."""
     listed = {id(run) for run in _lru_links(cache)}
     indexed = set()
     for path, runs in cache._files.items():
+        if isinstance(runs, list):
+            assert len(runs) >= 2
+        elif runs != ():
+            runs = [runs]
         for run in runs:
             assert run.path == path and run.first <= run.last
         for left, right in zip(runs, runs[1:]):
@@ -182,6 +187,31 @@ def test_eviction_inside_the_range_turns_a_later_hit_into_a_miss():
     side.cache.read(image, 0, 4 * PAGE)
     assert (side.cache.hits, side.cache.misses) == (0, 4)
     assert list(side.cache.runs()) == [(image.path, 1, 3)]
+
+
+def test_a_reversed_range_still_knows_an_evicted_or_dropped_file():
+    # A range that ends before it starts is resident for a file the
+    # cache has held, even after eviction or drop, and not for one it
+    # never has: the page-dict cache answers so, and random ops reach it.
+    ops = [
+        ("read", 0, 30, None),
+        ("read_with", 1, 376, 8),
+        ("read_with", 2, 487, 160),
+        ("read_with", 1, 125, 77),  # evicts all of /lib0.so
+        ("contains", 0, 581, None),
+        ("contains", 3, 581, None),
+        ("drop",),
+        ("contains", 1, 581, None),
+    ]
+    capacity = 18 * PAGE + 6
+    runs = _Side(BufferCache(capacity_bytes=capacity, page_bytes=PAGE))
+    pages = _Side(
+        pagedict_buffercache.BufferCache(capacity_bytes=capacity, page_bytes=PAGE)
+    )
+    answers = [runs.apply(op) for op in ops]
+    assert answers == [pages.apply(op) for op in ops]
+    assert answers[4:] == [True, False, None, True]
+    _check_runs(runs.cache)
 
 
 def test_chunked_install_is_one_run():

@@ -262,7 +262,7 @@ class TestOverlayMechanics:
     def test_determinism(self, small_spec):
         first = _stage(small_spec, 32, DistributionSpec(pipelined=True))
         second = _stage(small_spec, 32, DistributionSpec(pipelined=True))
-        assert first.ready_s == second.ready_s
+        assert first.landed == second.landed
         assert first.per_node_done_s == second.per_node_done_s
 
     def test_degenerate_chain_overlay_survives_depth(self):
@@ -291,7 +291,7 @@ class TestOverlayMechanics:
 class TestRouter:
     def test_router_waits_then_clears(self, small_spec):
         plan = _stage(small_spec, 4, DistributionSpec())
-        path = next(iter(plan.ready_s))[1]
+        path = next(iter(plan.landed[0]))
         router = plan.router_for(3)
         ready = plan.ready(3, path)
         assert ready is not None and ready > 0.0

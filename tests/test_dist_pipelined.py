@@ -225,7 +225,7 @@ class TestPipelinedGoldenTwin:
             16,
             DistributionSpec(pipelined=True, chunk_bytes=biggest),
         )
-        assert plain.ready_s == capped.ready_s
+        assert plain.landed == capped.landed
         assert plain.relay_sends == capped.relay_sends
 
     def test_chunked_runs_are_deterministic(self, small_spec):
@@ -239,7 +239,7 @@ class TestPipelinedGoldenTwin:
             32,
             DistributionSpec(pipelined=True, chunk_bytes=16384),
         )
-        assert first.ready_s == second.ready_s
+        assert first.landed == second.landed
         assert first.per_node_done_s == second.per_node_done_s
 
     def test_plan_records_chunking(self, small_spec):
@@ -353,7 +353,9 @@ class TestCacheAwareRelays:
         assert plan.source_reads == 0
         assert nfs_reads == 0
         assert plan.warm_nodes == tuple(range(16))
-        assert all(value == 0.0 for value in plan.ready_s.values())
+        assert all(
+            value == 0.0 for landed in plan.landed for value in landed.values()
+        )
 
     def test_warm_interior_node_speeds_up_its_subtree(self, small_spec):
         dist = DistributionSpec(pipelined=True, chunk_bytes=65536)
@@ -406,7 +408,7 @@ class TestCacheAwareRelays:
         assert plan.source_reads == cold
         assert cluster.nfs.requests_served - requests_before == cold
         # Everyone still lands the full set.
-        assert len(plan.ready_s) == 8 * len(images)
+        assert sum(len(landed) for landed in plan.landed) == 8 * len(images)
 
     def test_warm_root_reads_nothing(self, small_spec):
         plan, nfs_reads = _stage(
@@ -444,7 +446,7 @@ class TestCacheAwareRelays:
         assert not plan.router_for(2).warm
         # A warm node's router can never stall a read.
         router = plan.router_for(1)
-        path = next(path for (node, path) in plan.ready_s if node == 1)
+        path = next(iter(plan.landed[1]))
         assert router.wait_seconds(path, 0.0) == 0.0
         assert router.stalls == 0
 
